@@ -70,7 +70,6 @@ from .netbuilder import (
     NoConsistentStateError,
     clamp_inputs,
     compile_netlist,
-    count_elements,
     make_wire_chain,
 )
 from .turing import (

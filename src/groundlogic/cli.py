@@ -17,11 +17,10 @@ from .gadgets import check_edc, parse_gadget
 from .model import (
     CapacityError,
     DumpFormatError,
-    EnergyModel,
     ModelError,
     enumerate_ground_states,
     format_model,
-    parse_statements,
+    parse_model,
 )
 from .netbuilder import compile_netlist
 from .netlist import (
@@ -59,8 +58,11 @@ def _read(path: str) -> str:
 
 def _write_out(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -150,13 +152,8 @@ def cmd_dtm(args) -> int:
     return EXIT_OK
 
 
-def _parse_dump_model(text: str) -> EnergyModel:
-    variables, clamps, terms, _ = parse_statements(text, allow_ports=True)
-    return EnergyModel(tuple(variables), tuple(terms), clamps)
-
-
 def cmd_solve(args) -> int:
-    model = _parse_dump_model(_read(args.path))
+    model = parse_model(_read(args.path), allow_ports=True)
     if args.method == "exact":
         energy, states = enumerate_ground_states(model)
         print(f"E0={energy} deg={len(states)}")

@@ -242,13 +242,15 @@ def _folded(model: EnergyModel):
 
 def _integerized(offset: Fraction, folded):
     """Scale all energies by a common denominator so the hot loop is int-only."""
-    denom = offset.denominator
+    denoms = {offset.denominator}
     for _, table in folded:
-        for e in table:
-            denom = lcm(denom, e.denominator)
-    off = int(offset * denom)
+        denoms.update(e.denominator for e in table)
+    denom = lcm(*denoms)
+    scale = {d: denom // d for d in denoms}
+    off = offset.numerator * scale[offset.denominator]
     terms = [
-        (positions, tuple(int(e * denom) for e in table)) for positions, table in folded
+        (positions, tuple(e.numerator * scale[e.denominator] for e in table))
+        for positions, table in folded
     ]
     return denom, off, terms
 
@@ -437,9 +439,13 @@ def parse_statements(text: str, allow_ports: bool = False):
     return variables, clamps, terms, ports
 
 
-def parse_model(text: str) -> EnergyModel:
-    """Parse the dump format (without PORT lines) into an EnergyModel."""
-    variables, clamps, terms, _ = parse_statements(text, allow_ports=False)
+def parse_model(text: str, allow_ports: bool = False) -> EnergyModel:
+    """Parse the dump format into an EnergyModel.
+
+    PORT lines are rejected unless `allow_ports`, in which case they are
+    skipped (gadget dumps then parse as their fragment model).
+    """
+    variables, clamps, terms, _ = parse_statements(text, allow_ports=allow_ports)
     try:
         return EnergyModel(tuple(variables), tuple(terms), clamps)
     except ModelError as exc:

@@ -210,3 +210,33 @@ def test_compile_hierarchy_violation_fails_cleanly(tmp_path, capsys):
     code, _, stderr = run(capsys, "compile", str(src), "--delta", "1")
     assert code == 1
     assert "penalty" in stderr
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    src = tmp_path / "t.cnf"
+    src.write_text("p cnf 2 1\n1 -2 0\n")
+    code, _, stderr = run(capsys, "compile", str(src), "--out", str(tmp_path))
+    assert code == 1
+    assert "cannot write" in stderr
+    spec = tmp_path / "flip.dtm"
+    spec.write_text("STATE q\nSTART q\nDECISION 1\nDELTA q 0 -> q 1 U\nDELTA q 1 -> q 0 U\n")
+    code, _, stderr = run(capsys, "dtm", str(spec), "--p", "2", "--out", str(tmp_path))
+    assert code == 1
+    assert "cannot write" in stderr
+
+
+def test_solve_gadget_dump_with_ports(tmp_path, capsys):
+    gadget = gl.synthesize_gadget(gl.NOT, 1)
+    path = tmp_path / "not.dump"
+    path.write_text(gl.format_gadget(gadget))
+    code, stdout, _ = run(capsys, "solve", str(path))
+    assert code == 0
+    assert stdout.splitlines() == ["E0=0 deg=2", "01", "10"]
+    path.write_text(gl.format_gadget(gadget) + "PORT sideways 0\n")
+    code, _, stderr = run(capsys, "solve", str(path))
+    assert code == 1
+    assert "PORT" in stderr
+    path.write_text("VAR 0 wire\nVAR 0 wire\n")
+    code, _, stderr = run(capsys, "solve", str(path))
+    assert code == 1
+    assert "duplicate" in stderr

@@ -225,3 +225,12 @@ def test_dump_comments_and_blanks_ignored():
     text = "# header\n\nVAR 0 wire  # trailing\nTERM 1 0 : 0 1\n"
     m = gl.parse_model(text)
     assert len(m.variables) == 1 and len(m.terms) == 1
+
+
+def test_dump_port_lines_only_when_allowed():
+    text = "VAR 0 input\nVAR 1 output\nTERM 2 0 1 : 1 0 0 1\nPORT in 0\nPORT out 1\n"
+    with pytest.raises(gl.DumpFormatError) as info:
+        gl.parse_model(text)
+    assert info.value.line == 4
+    m = gl.parse_model(text, allow_ports=True)
+    assert gl.format_model(m) == text.split("PORT")[0]

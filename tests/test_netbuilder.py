@@ -173,8 +173,8 @@ def test_explicit_wire_chain_is_transparent():
 
 def test_count_single_and():
     net = gl.compile_netlist(gl.parse_netlist(AND_NL))
-    assert gl.count_elements(net).counts == {"AND": 1}
-    assert gl.count_elements(net).total == 1
+    assert net.elements.counts == {"AND": 1}
+    assert net.elements.total == 1
 
 
 def test_count_sand_policy():
