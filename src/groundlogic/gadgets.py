@@ -13,9 +13,12 @@ input-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from .logic import AND2, NOT, OR2, TruthFunction
 from .model import (
@@ -29,7 +32,7 @@ from .model import (
     format_model,
     parse_statements,
     total_energy,
-    _integerized,
+    _scan,
 )
 
 SCAN_CAP = 2 ** 22
@@ -119,42 +122,25 @@ def _scan_minima(g: Gadget, fn: TruthFunction | None = None, cap: int = SCAN_CAP
     Returns, per input pattern, (ground energy, ground energy among
     wrong-output configurations) -- the second entry only when `fn` is given.
     """
-    internals = g.internal_vars
-    order = g.inputs + internals
-    n_in, n_int = len(g.inputs), len(internals)
-    if (1 << (n_in + n_int)) > cap:
-        raise CapacityError(
-            f"exhaustive scan needs {1 << (n_in + n_int)} states, cap is {cap}"
-        )
-    pos = {v: i for i, v in enumerate(order)}
-    folded = [(tuple(pos[v] for v in t.vars), t.table) for t in g.fragment.terms]
-    denom, off, terms = _integerized(Fraction(0), folded)
-    out_bit = pos[g.output] - n_in
-    results = []
-    for x in range(1 << n_in):
-        want = fn.outputs[x] if fn is not None else None
-        best = None
-        best_wrong = None
-        for m in range(1 << n_int):
-            e = off
-            for positions, table in terms:
-                idx = 0
-                for j, p in enumerate(positions):
-                    bit = (x >> p) & 1 if p < n_in else (m >> (p - n_in)) & 1
-                    idx |= bit << j
-                e += table[idx]
-            if best is None or e < best:
-                best = e
-            if want is not None and ((m >> out_bit) & 1) != want:
-                if best_wrong is None or e < best_wrong:
-                    best_wrong = e
-        results.append(
-            (
-                Fraction(best, denom),
-                Fraction(best_wrong, denom) if best_wrong is not None else None,
-            )
-        )
-    return results
+    denom, row, _, blocks = _scan(g.fragment, (), cap)
+    want = np.array(fn.outputs, dtype=np.uint8) if fn is not None else None
+    best = wrong = None
+    for vals, _, energy in blocks:
+        x = np.zeros(vals.shape[1], dtype=np.intp)
+        for j, v in enumerate(g.inputs):
+            x |= vals[row[v]].astype(np.intp) << j
+        if best is None:
+            top = np.iinfo(np.int64).max if energy.dtype == np.int64 else math.inf
+            best = np.full(1 << g.arity, top, dtype=energy.dtype)
+            wrong = best.copy()
+        np.minimum.at(best, x, energy)
+        if want is not None:
+            bad = vals[row[g.output]] != want[x]
+            np.minimum.at(wrong, x[bad], energy[bad])
+    return [
+        (Fraction(int(e), denom), Fraction(int(w), denom) if want is not None else None)
+        for e, w in zip(best, wrong)
+    ]
 
 
 def extend_by_forcings(inputs_assignment: dict[int, int], forcings) -> dict[int, int]:

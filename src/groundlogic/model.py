@@ -21,7 +21,19 @@ The line-oriented dump format::
     # comment
 
 round-trips exactly: parsing a formatted model and formatting it again
-reproduces the same text.
+reproduces the same text.  A VAR line declares an id before any CLAMP or
+TERM line names it.
+
+Every exact solver (`enumerate_ground_states`, `spectrum`, the gadget
+scans, `Network.ground_states`) reduces one levelized, bit-parallel scan,
+`_scan`.  A uint8 value matrix holds one row per variable and one column per
+mask of the roots, the free variables no forcing assigns.  The forcings are
+stacked by topological level and arity, so each stack costs one gather from
+its tables, and the terms, stacked by arity, each add one gather-and-sum to
+the energy vector.  Energies are integerized over a common denominator and
+summed in int64 when the largest possible sum stays below 2**62, as Python
+ints otherwise.  Masks are scanned in blocks bounded by `_BLOCK_BYTES`; each
+solver carries its running result from block to block.
 """
 
 from __future__ import annotations
@@ -29,6 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
 
 Energy = Fraction
 Assignment = dict[int, int]
@@ -255,23 +269,168 @@ def _integerized(offset: Fraction, folded):
     return denom, off, terms
 
 
-def _mask_to_assignment(mask: int, free, clamps) -> Assignment:
-    a = dict(clamps)
-    for i, v in enumerate(free):
-        a[v] = (mask >> i) & 1
-    return a
+# Bytes of working arrays per block of scanned masks.
+_BLOCK_BYTES = 1 << 20
+# Energies are summed in int64 only below this bound on any sum of entries.
+_INT64_BOUND = 1 << 62
 
 
-def _sort_key(assignment: Assignment):
-    return tuple(assignment[v] for v in sorted(assignment))
+def _scan(model: EnergyModel, plan, cap: int):
+    """Score every root mask, extending it by `plan`'s forcings (var, args,
+    table), given in topological order.
 
-
-def _check_cap(n_free: int, cap: int):
-    if n_free > 0 and (1 << n_free) > cap:
+    Returns (denom, row, roots, blocks).  `row` maps a variable id to its
+    row of the value matrices; `blocks` yields (value matrix, alive,
+    integer energies over denom) per block with at least one alive column.
+    `alive` is False where a forced value contradicts a clamp.
+    """
+    forced = {f.var for f in plan}
+    roots = [v for v in model.free_vars if v not in forced]
+    if roots and (1 << len(roots)) > cap:
         raise CapacityError(
-            f"{n_free} free variables require {1 << n_free} states, cap is {cap}; "
+            f"{len(roots)} free variables require {1 << len(roots)} states, cap is {cap}; "
             "shrink the model, clamp inputs, or use the annealer"
         )
+    clamps = model.clamps
+    row = {v: i for i, v in enumerate(model.var_ids)}
+    forcings = _forcing_groups(plan, roots, clamps, row)
+    denom, energy_dtype, terms = _term_groups(model.terms, row)
+
+    n_vars = len(row)
+    widest = max([3 * len(g[1]) for g in forcings] + [0])
+    widest = max([(2 + energy_dtype.itemsize) * len(g[1]) for g in terms] + [widest])
+    block = max(1, _BLOCK_BYTES // (n_vars + 16 * len(roots) + widest + 32))
+    root_rows = [row[v] for v in roots]
+    shifts = np.arange(len(roots), dtype=np.int64)[:, None]
+    clamp_rows = [row[v] for v in clamps]
+    clamp_vals = np.array(list(clamps.values()), dtype=np.uint8)[:, None]
+    total = 1 << len(roots)
+
+    def blocks():
+        for start in range(0, total, block):
+            masks = np.arange(start, min(start + block, total), dtype=np.int64)
+            vals = np.empty((n_vars, len(masks)), dtype=np.uint8)
+            vals[clamp_rows] = clamp_vals
+            vals[root_rows] = (masks >> shifts) & 1
+            alive = np.ones(len(masks), dtype=bool)
+            for arg_cols, tables, out_rows, clamp_col in forcings:
+                got = _gather(tables, vals, arg_cols)
+                if clamp_col is None:
+                    vals[out_rows] = got
+                else:
+                    alive &= (got == clamp_col).all(axis=0)
+            if not alive.any():
+                continue
+            energy = np.zeros(len(masks), dtype=energy_dtype)
+            for arg_cols, tables in terms:
+                energy += _gather(tables, vals, arg_cols).sum(axis=0)
+            yield vals, alive, energy
+
+    return denom, row, roots, blocks()
+
+
+def _gather(tables, vals, arg_cols):
+    """Look up each stacked table at its args' little-endian index, per mask.
+
+    `arg_cols[j]` holds the value-matrix row of argument j of every table;
+    the result has one row per table and one column per mask.
+    """
+    idx = np.zeros((len(tables), vals.shape[1]), dtype=np.uint8)
+    for j, cols in enumerate(arg_cols):
+        idx |= vals[cols] << j
+    return np.take_along_axis(tables, idx, axis=1)
+
+
+def _forcing_groups(plan, roots, clamps, row):
+    """Stack the plan's forcings by (topological level, arity, clamped).
+
+    A forcing's level is one more than the highest level among its args;
+    roots and clamped variables sit at level 0.  Forcings of one level read
+    only lower levels, so each group is one gather from its stacked tables.
+    Each group is (arg rows per position, tables, rows to write, clamp
+    column); a group of clamped variables is checked against the clamps
+    instead of written.
+    """
+    level = dict.fromkeys(roots, 0)
+    level.update(dict.fromkeys(clamps, 0))
+    groups: dict[tuple, list] = {}
+    for f in plan:
+        if f.var in level and f.var not in clamps:
+            raise ModelError(f"forcing plan assigns variable {f.var} twice")
+        lvl = 1 + max((level[a] for a in f.args), default=0)
+        if f.var not in clamps:
+            level[f.var] = lvl
+        groups.setdefault((lvl, len(f.args), f.var in clamps), []).append(f)
+    out = []
+    for (_, _, clamped), fs in sorted(groups.items()):
+        tables = np.array([f.table for f in fs], dtype=np.uint8)
+        out_rows = np.array([row[f.var] for f in fs], dtype=np.intp)
+        clamp_col = None
+        if clamped:
+            clamp_col = np.array([clamps[f.var] for f in fs], dtype=np.uint8)[:, None]
+        out.append((_arg_cols([f.args for f in fs], row), tables, out_rows, clamp_col))
+    return out
+
+
+def _term_groups(terms, row):
+    """Integerized term tables stacked by arity: (denom, dtype, groups).
+
+    Energies are summed in int64 when no sum of one entry per term can
+    reach 2**62, and as Python ints (dtype object) otherwise.
+    """
+    denom, _, int_terms = _integerized(Fraction(0), [(t.vars, t.table) for t in terms])
+    bound = sum(max(max(table), -min(table)) for _, table in int_terms)
+    dtype = np.dtype(np.int64 if bound < _INT64_BOUND else object)
+    by_arity: dict[int, list] = {}
+    for vars_, table in int_terms:
+        by_arity.setdefault(len(vars_), []).append((vars_, table))
+    groups = []
+    for _, ts in sorted(by_arity.items()):
+        tables = np.array([table for _, table in ts], dtype=dtype)
+        groups.append((_arg_cols([vars_ for vars_, _ in ts], row), tables))
+    return denom, dtype, groups
+
+
+def _arg_cols(arg_lists, row):
+    """Per argument position, the value-matrix rows of every stacked table."""
+    return [
+        np.array([row[args[j]] for args in arg_lists], dtype=np.intp)
+        for j in range(len(arg_lists[0]))
+    ]
+
+
+def _ground_set(model: EnergyModel, plan, cap: int):
+    """Minimum energy over the alive states of `_scan` and every state
+    reaching it, or None when no state is alive.
+
+    States come back sorted lexicographically by variable id; each dict
+    lists the clamps, then the roots, then the forced variables in plan
+    order.
+    """
+    denom, row, roots, blocks = _scan(model, plan, cap)
+    best = None
+    found = []
+    for vals, alive, energy in blocks:
+        low = int(energy[alive].min())
+        if best is None or low < best:
+            best, found = low, []
+        if low == best:
+            found.append(vals[:, alive & (energy == best)])
+    if best is None:
+        return None
+    states = np.concatenate(found, axis=1)
+    if states.shape[1] > 1:
+        # Rows are in variable-id order, so comparing the bit-packed columns
+        # bytewise is the lexicographic order.  (np.lexsort with one key per
+        # variable costs kilobytes per key.)
+        packed = np.packbits(states, axis=0).T.copy()
+        order = np.argsort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
+        states = states[:, order]
+    clamps = model.clamps
+    keys = list(clamps) + roots + [f.var for f in plan if f.var not in clamps]
+    # one state at a time: a nested list of every state would outgrow the dicts
+    per_state = states[[row[v] for v in keys]].T.copy()
+    return Fraction(best, denom), [dict(zip(keys, s.tolist())) for s in per_state]
 
 
 def enumerate_ground_states(
@@ -283,52 +442,23 @@ def enumerate_ground_states(
     in each returned assignment.  Assignments come back sorted
     lexicographically by variable id.
     """
-    free, offset, folded = _folded(model)
-    _check_cap(len(free), cap)
-    denom, off, terms = _integerized(offset, folded)
-    best = None
-    masks: list[int] = []
-    for mask in range(1 << len(free)):
-        e = off
-        for positions, table in terms:
-            idx = 0
-            for j, p in enumerate(positions):
-                idx |= ((mask >> p) & 1) << j
-            e += table[idx]
-        if best is None or e < best:
-            best, masks = e, [mask]
-        elif e == best:
-            masks.append(mask)
-    assert best is not None
-    out = [_mask_to_assignment(m, free, model.clamps) for m in masks]
-    out.sort(key=_sort_key)
-    return Fraction(best, denom), out
+    return _ground_set(model, (), cap)
 
 
 def spectrum(model: EnergyModel, cap: int = DEFAULT_CAP) -> SpectrumReport:
     """Ground energy, exact degeneracy, and the first excited level if any."""
-    free, offset, folded = _folded(model)
-    _check_cap(len(free), cap)
-    denom, off, terms = _integerized(offset, folded)
-    e0 = None
+    denom, _, _, blocks = _scan(model, (), cap)
+    e0 = e1 = None
     count0 = 0
-    e1 = None
-    for mask in range(1 << len(free)):
-        e = off
-        for positions, table in terms:
-            idx = 0
-            for j, p in enumerate(positions):
-                idx |= ((mask >> p) & 1) << j
-            e += table[idx]
-        if e0 is None or e < e0:
-            if e0 is not None:
-                e1 = e0 if e1 is None or e0 < e1 else e1
-            e0, count0 = e, 1
-        elif e == e0:
-            count0 += 1
-        elif e1 is None or e < e1:
-            e1 = e
-    assert e0 is not None
+    # without a plan every state is alive
+    for _, _, energy in blocks:
+        low = int(energy.min())
+        is_low = energy == low
+        n_low = int(is_low.sum())
+        above = int(energy[~is_low].min()) if n_low < len(energy) else None
+        levels = sorted({e0, e1, low, above} - {None})
+        count0 = (count0 if e0 == levels[0] else 0) + (n_low if low == levels[0] else 0)
+        e0, e1 = levels[0], (levels[1] if len(levels) > 1 else None)
     ground = Fraction(e0, denom)
     first = Fraction(e1, denom) if e1 is not None else None
     gap = first - ground if first is not None else None
@@ -377,6 +507,13 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise DumpFormatError(lineno, f"bad {what} {token!r}") from None
 
 
+def _parse_ref(token: str, lineno: int, declared: set[int]) -> int:
+    vid = _parse_int(token, lineno, "variable id")
+    if vid not in declared:
+        raise DumpFormatError(lineno, f"variable {vid} is not declared by an earlier VAR")
+    return vid
+
+
 def _parse_energy(token: str, lineno: int) -> Fraction:
     try:
         return Fraction(token)
@@ -388,8 +525,11 @@ def parse_statements(text: str, allow_ports: bool = False):
     """Parse dump statements into (variables, clamps, terms, ports).
 
     Shared by the model and gadget parsers; `#` starts a comment anywhere on
-    a line.  Raises DumpFormatError with a line number on any defect.
+    a line.  A variable id must be declared by a VAR line before a CLAMP,
+    TERM or PORT line names it.  Raises DumpFormatError with a line number on
+    any defect.
     """
+    declared: set[int] = set()
     variables: list[Variable] = []
     clamps: dict[int, int] = {}
     terms: list[EnergyTerm] = []
@@ -404,15 +544,17 @@ def parse_statements(text: str, allow_ports: bool = False):
             if len(tokens) < 3:
                 raise DumpFormatError(lineno, "VAR needs <id> <role> [label]")
             vid = _parse_int(tokens[1], lineno, "variable id")
-            role = tokens[2]
-            if role not in ROLES:
-                raise DumpFormatError(lineno, f"unknown role {role!r}")
-            label = " ".join(tokens[3:]) or None
-            variables.append(Variable(vid, role, label))
+            if vid in declared:
+                raise DumpFormatError(lineno, f"duplicate variable id {vid}")
+            try:
+                variables.append(Variable(vid, tokens[2], " ".join(tokens[3:]) or None))
+            except ModelError as exc:
+                raise DumpFormatError(lineno, str(exc)) from None
+            declared.add(vid)
         elif kind == "CLAMP":
             if len(tokens) != 3 or tokens[2] not in ("0", "1"):
                 raise DumpFormatError(lineno, "CLAMP needs <id> <0|1>")
-            clamps[_parse_int(tokens[1], lineno, "variable id")] = int(tokens[2])
+            clamps[_parse_ref(tokens[1], lineno, declared)] = int(tokens[2])
         elif kind == "TERM":
             if len(tokens) < 2:
                 raise DumpFormatError(lineno, "TERM needs an arity")
@@ -424,7 +566,7 @@ def parse_statements(text: str, allow_ports: bool = False):
                 raise DumpFormatError(
                     lineno, f"TERM {k} needs {k} ids, ':', then {1 << k} energies"
                 )
-            vids = tuple(_parse_int(t, lineno, "variable id") for t in tokens[2 : 2 + k])
+            vids = tuple(_parse_ref(t, lineno, declared) for t in tokens[2 : 2 + k])
             table = tuple(_parse_energy(t, lineno) for t in tokens[3 + k :])
             try:
                 terms.append(EnergyTerm(vids, table))
@@ -433,7 +575,7 @@ def parse_statements(text: str, allow_ports: bool = False):
         elif kind == "PORT" and allow_ports:
             if len(tokens) != 3 or tokens[1] not in ("in", "out", "anc"):
                 raise DumpFormatError(lineno, "PORT needs <in|out|anc> <id>")
-            ports.append((tokens[1], _parse_int(tokens[2], lineno, "variable id")))
+            ports.append((tokens[1], _parse_ref(tokens[2], lineno, declared)))
         else:
             raise DumpFormatError(lineno, f"unknown statement {kind!r}")
     return variables, clamps, terms, ports
@@ -446,7 +588,4 @@ def parse_model(text: str, allow_ports: bool = False) -> EnergyModel:
     skipped (gadget dumps then parse as their fragment model).
     """
     variables, clamps, terms, _ = parse_statements(text, allow_ports=allow_ports)
-    try:
-        return EnergyModel(tuple(variables), tuple(terms), clamps)
-    except ModelError as exc:
-        raise DumpFormatError(0, str(exc)) from None
+    return EnergyModel(tuple(variables), tuple(terms), clamps)

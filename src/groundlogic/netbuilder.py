@@ -13,24 +13,14 @@ scores only those forced extensions.  That is exact -- not a heuristic --
 whenever every gate's ground energy is input-independent and the penalty
 floor strictly dominates the total attached bias: any state deviating from a
 forced extension pays at least the floor, and can recover at most the bias
-budget.  Both conditions are checked before solving.
-
-The solve is levelized and bit-parallel.  A uint8 value matrix holds one row
-per variable and one column per root mask; the plan's forcings are stacked by
-topological level and arity, so each stack costs one gather from its tables,
-and the terms, stacked by arity, each add one gather-and-sum to the energy
-vector.  Energies are integerized over a common denominator and summed in
-int64 when the largest possible sum stays below 2**62, as Python ints
-otherwise.  Root masks are scanned in blocks bounded by `_BLOCK_BYTES`, with
-the running minimum and its states carried from block to block.
+budget.  Both conditions are checked before solving.  The scan itself is
+`model`'s block kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .gadgets import Forcing, Gadget, instantiate, make_physical_and, symmetrize, synthesize_gadget
 from .logic import NOT, TruthFunction, and_n, fold_repeated_inputs, or_n
@@ -41,17 +31,11 @@ from .model import (
     EnergyTerm,
     ModelError,
     Variable,
-    _check_cap,
-    _integerized,
+    _ground_set,
     as_energy,
 )
 
 POLICIES = ("penalty", "edc-symmetrized")
-
-# Bytes of working arrays per block of root masks in `Network.ground_states`.
-_BLOCK_BYTES = 1 << 24
-# Energies are summed in int64 only below this bound on any sum of entries.
-_INT64_BOUND = 1 << 62
 
 
 class NoConsistentStateError(ModelError):
@@ -125,134 +109,13 @@ class Network:
                 f"penalty floor {self.penalty_floor} does not dominate bias budget "
                 f"{self.bias_budget}; conditioned solve would not be exact"
             )
-        forced = {f.var for f in self.plan}
-        roots = [v for v in self.model.free_vars if v not in forced]
-        _check_cap(len(roots), cap)
-        clamps = self.model.clamps
-        row = {v: i for i, v in enumerate(self.model.var_ids)}
-        forcings = _forcing_groups(self.plan, roots, clamps, row)
-        denom, energy_dtype, terms = _term_groups(self.model.terms, row)
-
-        n_vars = len(row)
-        widest = max([3 * len(g[1]) for g in forcings] + [0])
-        widest = max([(2 + energy_dtype.itemsize) * len(g[1]) for g in terms] + [widest])
-        block = max(1, _BLOCK_BYTES // (n_vars + 16 * len(roots) + widest + 32))
-        root_rows = [row[v] for v in roots]
-        shifts = np.arange(len(roots), dtype=np.int64)[:, None]
-        clamp_rows = [row[v] for v in clamps]
-        clamp_vals = np.array(list(clamps.values()), dtype=np.uint8)[:, None]
-        best = None
-        found = []
-        total = 1 << len(roots)
-        for start in range(0, total, block):
-            masks = np.arange(start, min(start + block, total), dtype=np.int64)
-            vals = np.empty((n_vars, len(masks)), dtype=np.uint8)
-            vals[clamp_rows] = clamp_vals
-            vals[root_rows] = (masks >> shifts) & 1
-            alive = np.ones(len(masks), dtype=bool)
-            for arg_cols, tables, out_rows, clamp_col in forcings:
-                got = _gather(tables, vals, arg_cols)
-                if clamp_col is None:
-                    vals[out_rows] = got
-                else:
-                    alive &= (got == clamp_col).all(axis=0)
-            if not alive.any():
-                continue
-            energy = np.zeros(len(masks), dtype=energy_dtype)
-            for arg_cols, tables in terms:
-                energy += _gather(tables, vals, arg_cols).sum(axis=0)
-            low = int(energy[alive].min())
-            if best is None or low < best:
-                best, found = low, []
-            if low == best:
-                found.append(vals[:, alive & (energy == best)])
-        if best is None:
+        ground = _ground_set(self.model, self.plan, cap)
+        if ground is None:
             raise NoConsistentStateError(
                 "no input assignment is consistent with the clamps; "
                 "fall back to enumerate_ground_states or the annealer"
             )
-        states = np.concatenate(found, axis=1)
-        if states.shape[1] > 1:
-            # Rows are in variable-id order, so comparing the bit-packed
-            # columns bytewise is the _sort_key order.  (np.lexsort with one
-            # key per variable costs kilobytes per key.)
-            packed = np.packbits(states, axis=0).T.copy()
-            order = np.argsort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
-            states = states[:, order]
-        keys = list(clamps) + roots + [f.var for f in self.plan if f.var not in clamps]
-        # one state at a time: a nested list of every state would outgrow the dicts
-        per_state = states[[row[v] for v in keys]].T.copy()
-        return Fraction(best, denom), [dict(zip(keys, s.tolist())) for s in per_state]
-
-
-def _gather(tables, vals, arg_cols):
-    """Look up each stacked table at its args' little-endian index, per mask.
-
-    `arg_cols[j]` holds the value-matrix row of argument j of every table;
-    the result has one row per table and one column per mask.
-    """
-    idx = np.zeros((len(tables), vals.shape[1]), dtype=np.uint8)
-    for j, cols in enumerate(arg_cols):
-        idx |= vals[cols] << j
-    return np.take_along_axis(tables, idx, axis=1)
-
-
-def _forcing_groups(plan, roots, clamps, row):
-    """Stack the plan's forcings by (topological level, arity, clamped).
-
-    A forcing's level is one more than the highest level among its args;
-    roots and clamped variables sit at level 0.  Forcings of one level read
-    only lower levels, so each group is one gather from its stacked tables.
-    Each group is (arg rows per position, tables, rows to write, clamp
-    column); a group of clamped variables is checked against the clamps
-    instead of written.
-    """
-    level = dict.fromkeys(roots, 0)
-    level.update(dict.fromkeys(clamps, 0))
-    groups: dict[tuple, list] = {}
-    for f in plan:
-        if f.var in level and f.var not in clamps:
-            raise ModelError(f"forcing plan assigns variable {f.var} twice")
-        lvl = 1 + max((level[a] for a in f.args), default=0)
-        if f.var not in clamps:
-            level[f.var] = lvl
-        groups.setdefault((lvl, len(f.args), f.var in clamps), []).append(f)
-    out = []
-    for (_, _, clamped), fs in sorted(groups.items()):
-        tables = np.array([f.table for f in fs], dtype=np.uint8)
-        out_rows = np.array([row[f.var] for f in fs], dtype=np.intp)
-        clamp_col = None
-        if clamped:
-            clamp_col = np.array([clamps[f.var] for f in fs], dtype=np.uint8)[:, None]
-        out.append((_arg_cols([f.args for f in fs], row), tables, out_rows, clamp_col))
-    return out
-
-
-def _term_groups(terms, row):
-    """Integerized term tables stacked by arity: (denom, dtype, groups).
-
-    Energies are summed in int64 when no sum of one entry per term can
-    reach 2**62, and as Python ints (dtype object) otherwise.
-    """
-    denom, _, int_terms = _integerized(Fraction(0), [(t.vars, t.table) for t in terms])
-    bound = sum(max(max(table), -min(table)) for _, table in int_terms)
-    dtype = np.dtype(np.int64 if bound < _INT64_BOUND else object)
-    by_arity: dict[int, list] = {}
-    for vars_, table in int_terms:
-        by_arity.setdefault(len(vars_), []).append((vars_, table))
-    groups = []
-    for _, ts in sorted(by_arity.items()):
-        tables = np.array([table for _, table in ts], dtype=dtype)
-        groups.append((_arg_cols([vars_ for vars_, _ in ts], row), tables))
-    return denom, dtype, groups
-
-
-def _arg_cols(arg_lists, row):
-    """Per argument position, the value-matrix rows of every stacked table."""
-    return [
-        np.array([row[args[j]] for args in arg_lists], dtype=np.intp)
-        for j in range(len(arg_lists[0]))
-    ]
+        return ground
 
 
 class _VarAlloc:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -144,3 +145,29 @@ def test_merge_prefers_lowest_energy_then_first_restart():
     res = gl.metropolis_anneal(m, sched)
     assert res.best_energy == min(r.best_energy for r in res.restarts)
     assert gl.total_energy(m, res.best_assignment) == res.best_energy
+
+
+# sha256 of repr(metropolis_anneal(...)): pins every restart's best energy,
+# first-hit sweep and uphill counts, so same-seed trajectories stay fixed.
+ANNEAL_GOLDEN = {
+    "cnf301": "e6f5ad451d2a44ba2285b4672a50b22356461b949da3cf270c81e62da5c06193",
+    "rational802": "ba626e8ac1e6d90ed7e291f2f549ade0c1aa155338ed23d57992f5841f09e799",
+}
+
+
+def _golden_instance(name):
+    if name == "cnf301":
+        cnf = random_cnf(random.Random(301), 6, 20)
+        net = gl.attach_dedlu(gl.compile_netlist(gl.encode_cnf(cnf), penalty=2), "sat", 1)
+        sched = gl.AnnealSchedule(t_start=3.0, t_end=0.05, sweeps=120, restarts=3, seed=301)
+        return net.model, sched, net.ground_states()[0]
+    m = random_model(random.Random(802), n_vars=9, n_terms=14).with_clamps({4: 1})
+    sched = gl.AnnealSchedule(t_start=2.0, t_end=0.1, sweeps=30, restarts=4, seed=802)
+    return m, sched, gl.enumerate_ground_states(m)[0]
+
+
+@pytest.mark.parametrize("name", sorted(ANNEAL_GOLDEN))
+def test_golden_anneal(name):
+    m, sched, e0 = _golden_instance(name)
+    result = gl.metropolis_anneal(m, sched, target=e0)
+    assert hashlib.sha256(repr(result).encode()).hexdigest() == ANNEAL_GOLDEN[name]

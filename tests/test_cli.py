@@ -239,4 +239,8 @@ def test_solve_gadget_dump_with_ports(tmp_path, capsys):
     path.write_text("VAR 0 wire\nVAR 0 wire\n")
     code, _, stderr = run(capsys, "solve", str(path))
     assert code == 1
-    assert "duplicate" in stderr
+    assert "line 2: duplicate" in stderr
+    path.write_text("VAR 0 wire\nTERM 1 0 : 0 1\nCLAMP 3 1\n")
+    code, _, stderr = run(capsys, "solve", str(path))
+    assert code == 1
+    assert "line 3: variable 3 is not declared" in stderr

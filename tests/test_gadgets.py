@@ -206,3 +206,61 @@ def test_gadget_port_validation():
         gl.Gadget("bad", (0,), 0, (), frag)  # output collides with input
     with pytest.raises(gl.ModelError):
         gl.Gadget("bad", (0,), 1, (1,), frag)  # ancilla collides with output
+
+
+def _scan_reference(g, fn):
+    """Per input pattern, (ground energy, best wrong-output energy) by a
+    plain loop over the internal variables."""
+    out = []
+    for x in range(1 << g.arity):
+        energies = {0: [], 1: []}
+        for bits in itertools.product((0, 1), repeat=len(g.internal_vars)):
+            a = {v: (x >> j) & 1 for j, v in enumerate(g.inputs)}
+            a.update(zip(g.internal_vars, bits))
+            energies[a[g.output]].append(gl.total_energy(g.fragment, a))
+        want = fn.outputs[x]
+        out.append((min(energies[0] + energies[1]), min(energies[1 - want])))
+    return out
+
+
+@pytest.mark.parametrize("which", ["synthesized", "physical", "symmetrized"])
+def test_checks_on_parsed_gadget_with_ports_not_inputs_first(which):
+    fn = gl.AND2
+    if which == "synthesized":
+        fn = gl.TruthFunction(3, (1, 0, 0, 1, 1, 1, 0, 0))
+        g = gl.synthesize_gadget(fn, Fraction(3, 2))
+    elif which == "physical":
+        g = gl.make_physical_and(0, Fraction(1, 2), -1, 2, 5)
+    else:
+        g = gl.symmetrize(gl.make_physical_and(0, Fraction(1, 2), -1, 2, 5))
+    # reversed ids put the inputs last and the output among the ancillae
+    top = max(g.fragment.var_ids)
+    lines = gl.format_gadget(g).splitlines()
+    renamed = []
+    for line in lines:
+        head, *rest = line.split(" : ")
+        tokens = head.split()
+        if tokens[0] == "VAR":
+            tokens[1] = str(top - int(tokens[1]))
+        elif tokens[0] == "TERM":
+            tokens[2:] = [str(top - int(t)) for t in tokens[2:]]
+        elif tokens[0] == "PORT":
+            tokens[2] = str(top - int(tokens[2]))
+        renamed.append(" : ".join([" ".join(tokens), *rest]))
+    parsed = gl.parse_gadget("\n".join(renamed) + "\n")
+    assert parsed.inputs == tuple(top - v for v in g.inputs)
+    assert max(parsed.inputs) == top
+    reference = _scan_reference(parsed, fn)
+    edc = gl.check_edc(parsed)
+    assert list(edc.per_input_ground.values()) == [e for e, _ in reference]
+    assert edc == gl.check_edc(g)
+    gap = min(wrong - e for e, wrong in reference)
+    assert gl.check_implements(parsed, fn) == gl.ImplementsReport(gap > 0, gap)
+    assert gl.check_implements(g, fn) == gl.ImplementsReport(gap > 0, gap)
+
+
+def test_parse_gadget_port_on_undeclared_variable():
+    text = "VAR 0 input\nVAR 1 output\nTERM 2 0 1 : 0 1 1 0\nPORT in 0\nPORT out 2\n"
+    with pytest.raises(gl.DumpFormatError) as info:
+        gl.parse_gadget(text)
+    assert info.value.line == 5

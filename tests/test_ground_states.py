@@ -50,7 +50,7 @@ def test_golden_across_blocks(monkeypatch, name, budget):
     # a budget of 1 byte scans one root mask per block; 5000 bytes a few
     # masks, with a shorter last block
     net = _golden_network(name)
-    monkeypatch.setattr(gl.netbuilder, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(gl.model, "_BLOCK_BYTES", budget)
     result = net.ground_states()
     assert hashlib.sha256(repr(result).encode()).hexdigest() == GOLDEN[name]
 
@@ -60,7 +60,7 @@ def test_blocks_without_consistent_masks(monkeypatch):
     # is carried across them
     net = _golden_network("cnf301").with_net_clamps({"sat": 1})
     whole = net.ground_states()
-    monkeypatch.setattr(gl.netbuilder, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(gl.model, "_BLOCK_BYTES", 1)
     assert net.ground_states() == whole
     assert whole[0] == 0 and len(whole[1]) == 1
 
@@ -79,7 +79,7 @@ def test_huge_medlu_scale_sums_python_ints():
     net = gl.compile_netlist(gl.parse_netlist(OR3_NL), penalty=1 << 65)
     _, net = gl.assemble_usqc(net, medlu_ports=("a", "b", "y"), scale=1 << 62)
     row = {v: i for i, v in enumerate(net.model.var_ids)}
-    assert gl.netbuilder._term_groups(net.model.terms, row)[1] == object
+    assert gl.model._term_groups(net.model.terms, row)[1] == object
     e, states = net.ground_states()
     assert e == 0 and len(states) == 1
     assert (e, states) == gl.enumerate_ground_states(net.model)

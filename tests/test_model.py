@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import groundlogic as gl
 from util import random_model
@@ -213,6 +216,11 @@ def test_dump_fractional_energies_round_trip():
         ("FOO 1 2", 1),
         ("CLAMP 0 2", 1),
         ("VAR 0 wire\nTERM 1 0 : 1 abc", 2),
+        ("VAR 0 wire\nVAR 1 wire\nVAR 0 wire", 3),
+        ("VAR -1 wire", 1),
+        ("VAR 0 wire\n\nCLAMP 1 0", 3),
+        ("VAR 0 wire\nTERM 2 0 1 : 0 0 0 0", 2),
+        ("TERM 1 0 : 0 1\nVAR 0 wire", 1),
     ],
 )
 def test_dump_parse_errors_carry_line_numbers(bad, lineno):
@@ -234,3 +242,45 @@ def test_dump_port_lines_only_when_allowed():
     assert info.value.line == 4
     m = gl.parse_model(text, allow_ports=True)
     assert gl.format_model(m) == text.split("PORT")[0]
+
+
+@st.composite
+def scan_models(draw):
+    """Small models with fractional tables, optionally scaled to 2**62 (the
+    Python-int sums), and clamps that may leave no free variable."""
+    n = draw(st.integers(0, 7))
+    scale = draw(st.sampled_from((1, 1 << 62)))
+    energies = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    terms = []
+    for _ in range(draw(st.integers(0, 6)) if n else 0):
+        vars_ = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        table = draw(st.lists(energies, min_size=1 << len(vars_), max_size=1 << len(vars_)))
+        terms.append(gl.EnergyTerm(tuple(vars_), tuple(e * scale for e in table)))
+    clamps = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 1))) if n else {}
+    return gl.EnergyModel(tuple(gl.Variable(i) for i in range(n)), tuple(terms), clamps)
+
+
+def _levels(m):
+    """Every energy level with its states, by a plain loop over all states."""
+    levels: dict[Fraction, list] = {}
+    for bits in itertools.product((0, 1), repeat=len(m.free_vars)):
+        a = dict(m.clamps)
+        a.update(zip(m.free_vars, bits))
+        levels.setdefault(gl.total_energy(m, a), []).append(a)
+    return levels
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scan_models())
+def test_enumerate_and_spectrum_match_plain_loop(m):
+    levels = _levels(m)
+    e0, *rest = sorted(levels)
+    e1 = rest[0] if rest else None
+    states = sorted(levels[e0], key=lambda a: [a[v] for v in sorted(a)])
+    report = gl.SpectrumReport(e0, len(states), e1, e1 - e0 if rest else None)
+    # one state per block, a few states per block, and the default
+    for budget in (1, 5000, gl.model._BLOCK_BYTES):
+        with mock.patch.object(gl.model, "_BLOCK_BYTES", budget):
+            result = gl.enumerate_ground_states(m)
+            assert repr(result) == repr((e0, states))
+            assert gl.spectrum(m) == report
