@@ -11,10 +11,20 @@ deterministically by (energy, restart index).
 
 Energy bookkeeping stays exact (common-denominator integers); floats enter
 only through the acceptance probability.
+
+A proposal costs a few list lookups and no numpy call.  Each folded term's
+current table index is kept in a list; dE is one lookup per incident term,
+into a table of that term's flip deltas for the proposed bit, and an
+accepted flip XORs the bit into each incident term's index.  The random
+values are numpy's own: `_draws` reads the Philox generator's raw 64-bit
+words in blocks and reproduces, bit for bit, what `Generator.integers(n)`
+(Lemire's bounded draw on 32-bit halves) and `Generator.random()` would
+return, so trajectories do not depend on how the values are fetched.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -86,6 +96,53 @@ class AnnealResult:
     uphill_accepts: int = 0
 
 
+# Raw 64-bit words read from the bit generator per call: one bounded buffer,
+# whatever the number of free variables.
+_RAW_BLOCK = 1024
+_UNIT = 2.0**-53
+
+
+def _raw_words(bitgen):
+    while True:
+        yield from bitgen.random_raw(_RAW_BLOCK).tolist()
+
+
+def _below(words, n: int, half):
+    threshold = ((1 << 32) - n) % n
+    while True:
+        if half is None:
+            w = next(words)
+            x, half = w & 0xFFFFFFFF, w >> 32
+        else:
+            x, half = half, None
+        m = x * n
+        if m & 0xFFFFFFFF >= threshold:
+            yield m >> 32
+
+
+def _draws(rng: np.random.Generator, n: int):
+    """Iterators over the values `rng.integers(n)` and `rng.random()` would
+    return, in whatever order the caller draws from them.
+
+    numpy draws an integer below n <= 2**32 from 32-bit halves of the raw
+    64-bit words, low half first with the high half kept for the next such
+    draw, by Lemire's multiply-and-reject ("Fast random integer generation
+    in an interval", ACM TOMACS 2019); n == 1 draws nothing.  A uniform
+    double is the top 53 bits of a fresh word.  Both iterators read one
+    shared word stream, which starts from the half `rng` has kept from its
+    last 32-bit draw, in blocks of `_RAW_BLOCK` words; the words read ahead
+    are lost to `rng`, so it must not be drawn from afterwards.
+    """
+    if n > 1 << 32:
+        raise ModelError(f"cannot draw positions below {n} > 2**32")
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    words = _raw_words(bitgen)
+    half = state["uinteger"] if state["has_uint32"] else None
+    positions = itertools.repeat(0) if n == 1 else _below(words, n, half)
+    return positions, ((w >> 11) * _UNIT for w in words)
+
+
 def metropolis_anneal(
     model: EnergyModel,
     sched: AnnealSchedule,
@@ -96,8 +153,8 @@ def metropolis_anneal(
 
     Deterministic given (model, schedule, seed).  `target` (usually a known
     exact ground energy) drives first-hit tracking and the success flag.
-    With `debug` the incrementally maintained energy is checked against a
-    full recomputation every 1000 proposals.
+    With `debug` the incrementally maintained term indices and energy are
+    checked against a full recomputation every 1000 proposals.
     """
     free, offset, folded = _folded(model)
     if not free:
@@ -109,33 +166,39 @@ def metropolis_anneal(
         # best-energy integers are exact; a non-integer target falls between levels
         target_int = math.floor(t)
     nfree = len(free)
-    incident: list[list[tuple[tuple[int, ...], tuple[int, ...], int]]] = [
-        [] for _ in range(nfree)
-    ]
-    for positions, table in terms:
+    # incident[p]: (term number, p's bit in that term's table index, the
+    # energy change of flipping that bit, by the term's current index)
+    incident: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(nfree)]
+    for k, (positions, table) in enumerate(terms):
         for j, p in enumerate(positions):
-            incident[p].append((positions, table, j))
+            bit = 1 << j
+            flip = tuple(table[i ^ bit] - table[i] for i in range(len(table)))
+            incident[p].append((k, bit, flip))
 
-    def full_energy(state) -> int:
-        e = off
-        for positions, table in terms:
-            idx = 0
-            for j, p in enumerate(positions):
-                idx |= state[p] << j
-            e += table[idx]
-        return e
+    def term_indices(state) -> list[int]:
+        return [
+            sum(state[p] << j for j, p in enumerate(positions))
+            for positions, _ in terms
+        ]
 
+    def energy_at(indices) -> int:
+        return off + sum(table[i] for (_, table), i in zip(terms, indices))
+
+    exp = math.exp
     streams = np.random.SeedSequence(sched.seed).spawn(sched.restarts)
     results: list[RestartResult] = []
     best_energy_int = None
     best_state = None
-    best_index = 0
     uphill_attempts = 0
     uphill_accepts = 0
-    for r, child in enumerate(streams):
+    for child in streams:
         rng = np.random.Generator(np.random.Philox(child))
         state = [int(b) for b in rng.integers(0, 2, size=nfree)]
-        energy = full_energy(state)
+        positions, uniforms = _draws(rng, nfree)
+        next_pos = positions.__next__
+        next_uniform = uniforms.__next__
+        index = term_indices(state)
+        energy = energy_at(index)
         local_best = energy
         local_best_state = list(state)
         first_hit = 0 if target_int is not None and energy <= target_int else None
@@ -143,33 +206,34 @@ def metropolis_anneal(
         for sweep in range(1, sched.sweeps + 1):
             temp = sched.temperature(sweep - 1)
             for _ in range(nfree):
-                pos = int(rng.integers(nfree))
+                pos = next_pos()
+                inc = incident[pos]
                 delta = 0
-                for positions, table, j in incident[pos]:
-                    idx = 0
-                    for jj, p in enumerate(positions):
-                        idx |= state[p] << jj
-                    delta += table[idx ^ (1 << j)] - table[idx]
+                for k, _, flip in inc:
+                    delta += flip[index[k]]
                 if delta <= 0:
                     accept = True
                 else:
                     uphill_attempts += 1
-                    accept = rng.random() < math.exp(-(delta / denom) / temp)
+                    accept = next_uniform() < exp(-(delta / denom) / temp)
                     if accept:
                         uphill_accepts += 1
                 if accept:
                     state[pos] ^= 1
+                    for k, bit, _ in inc:
+                        index[k] ^= bit
                     energy += delta
                     if energy < local_best:
                         local_best = energy
                         local_best_state = list(state)
                 proposals += 1
                 if debug and proposals % 1000 == 0:
-                    recomputed = full_energy(state)
-                    if recomputed != energy:
-                        raise ModelError(
-                            f"incremental energy drifted: {energy} != {recomputed}"
-                        )
+                    recomputed = term_indices(state)
+                    if recomputed != index:
+                        raise ModelError("incremental term indices drifted")
+                    full = energy_at(recomputed)
+                    if full != energy:
+                        raise ModelError(f"incremental energy drifted: {energy} != {full}")
             if (
                 target_int is not None
                 and first_hit is None
@@ -181,7 +245,6 @@ def metropolis_anneal(
         if best_energy_int is None or local_best < best_energy_int:
             best_energy_int = local_best
             best_state = local_best_state
-            best_index = r
     assert best_state is not None
     assignment = dict(model.clamps)
     for i, v in enumerate(free):

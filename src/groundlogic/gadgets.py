@@ -23,6 +23,7 @@ import numpy as np
 from .logic import AND2, NOT, OR2, TruthFunction
 from .model import (
     CapacityError,
+    DumpFormatError,
     EnergyModel,
     EnergyTerm,
     K_MAX,
@@ -397,7 +398,7 @@ def parse_gadget(text: str, name: str = "parsed") -> Gadget:
     ins = tuple(v for kind, v in ports if kind == "in")
     outs = [v for kind, v in ports if kind == "out"]
     anc = tuple(v for kind, v in ports if kind == "anc")
-    if len(outs) != 1:
-        raise ModelError(f"gadget dump needs exactly one out port, found {len(outs)}")
+    if not outs:
+        raise DumpFormatError(len(text.splitlines()), "gadget dump needs an out port")
     fragment = EnergyModel(tuple(variables), tuple(terms), clamps)
     return Gadget(name=name, inputs=ins, output=outs[0], ancillae=anc, fragment=fragment)

@@ -526,8 +526,8 @@ def parse_statements(text: str, allow_ports: bool = False):
 
     Shared by the model and gadget parsers; `#` starts a comment anywhere on
     a line.  A variable id must be declared by a VAR line before a CLAMP,
-    TERM or PORT line names it.  Raises DumpFormatError with a line number on
-    any defect.
+    TERM or PORT line names it; it may be clamped once and be one port.
+    Raises DumpFormatError with a line number on any defect.
     """
     declared: set[int] = set()
     variables: list[Variable] = []
@@ -554,7 +554,10 @@ def parse_statements(text: str, allow_ports: bool = False):
         elif kind == "CLAMP":
             if len(tokens) != 3 or tokens[2] not in ("0", "1"):
                 raise DumpFormatError(lineno, "CLAMP needs <id> <0|1>")
-            clamps[_parse_ref(tokens[1], lineno, declared)] = int(tokens[2])
+            vid = _parse_ref(tokens[1], lineno, declared)
+            if vid in clamps:
+                raise DumpFormatError(lineno, f"variable {vid} is already clamped")
+            clamps[vid] = int(tokens[2])
         elif kind == "TERM":
             if len(tokens) < 2:
                 raise DumpFormatError(lineno, "TERM needs an arity")
@@ -575,7 +578,12 @@ def parse_statements(text: str, allow_ports: bool = False):
         elif kind == "PORT" and allow_ports:
             if len(tokens) != 3 or tokens[1] not in ("in", "out", "anc"):
                 raise DumpFormatError(lineno, "PORT needs <in|out|anc> <id>")
-            ports.append((tokens[1], _parse_ref(tokens[2], lineno, declared)))
+            vid = _parse_ref(tokens[2], lineno, declared)
+            if any(v == vid for _, v in ports):
+                raise DumpFormatError(lineno, f"variable {vid} is already a port")
+            if tokens[1] == "out" and any(role == "out" for role, _ in ports):
+                raise DumpFormatError(lineno, "a gadget has exactly one out port")
+            ports.append((tokens[1], vid))
         else:
             raise DumpFormatError(lineno, f"unknown statement {kind!r}")
     return variables, clamps, terms, ports

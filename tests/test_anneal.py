@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
 import groundlogic as gl
@@ -61,12 +62,17 @@ def test_different_seeds_may_differ_but_stay_sound():
 
 
 def test_incremental_energy_matches_full_recompute():
-    # debug mode cross-checks the running energy every 1000 proposals
+    # debug mode cross-checks the running term indices and energy every 1000
+    # proposals, so a flip XORed into the wrong bit or the wrong term raises;
+    # checking must not change the trajectory
     rng = random.Random(62)
-    for trial in range(3):
-        m = random_model(rng, n_vars=8, n_terms=10)
-        sched = gl.AnnealSchedule(t_start=3.0, t_end=0.2, sweeps=200, restarts=2, seed=trial)
-        gl.metropolis_anneal(m, sched, debug=True)
+    models = [random_model(rng, n_vars=8, n_terms=10) for _ in range(3)]
+    models.append(random_model(rng, n_vars=9, n_terms=12).with_clamps({2: 1}))
+    cnf = random_cnf(rng, n=5, m=12)
+    models.append(gl.attach_dedlu(gl.compile_netlist(gl.encode_cnf(cnf), penalty=2), "sat", 1).model)
+    for trial, m in enumerate(models):
+        sched = gl.AnnealSchedule(t_start=3.0, t_end=0.2, sweeps=400, restarts=2, seed=trial)
+        assert gl.metropolis_anneal(m, sched, debug=True) == gl.metropolis_anneal(m, sched)
 
 
 def test_clamped_variables_never_flip():
@@ -150,12 +156,19 @@ def test_merge_prefers_lowest_energy_then_first_restart():
 # sha256 of repr(metropolis_anneal(...)): pins every restart's best energy,
 # first-hit sweep and uphill counts, so same-seed trajectories stay fixed.
 ANNEAL_GOLDEN = {
+    "cnf14x59": "e0267a84a782b66700aa6b9b318f3049b4aa2ced82febdd5d3b8cdd991688a7c",
     "cnf301": "e6f5ad451d2a44ba2285b4672a50b22356461b949da3cf270c81e62da5c06193",
     "rational802": "ba626e8ac1e6d90ed7e291f2f549ade0c1aa155338ed23d57992f5841f09e799",
 }
 
 
 def _golden_instance(name):
+    if name == "cnf14x59":
+        # the benchmark's anneal-readout size, on a shorter schedule
+        cnf = random_cnf(random.Random(301), 14, 59)
+        net = gl.attach_dedlu(gl.compile_netlist(gl.encode_cnf(cnf), penalty=2), "sat", 1)
+        sched = gl.AnnealSchedule(t_start=2.0, t_end=0.05, sweeps=20, restarts=2, seed=301)
+        return net.model, sched, net.ground_states()[0]
     if name == "cnf301":
         cnf = random_cnf(random.Random(301), 6, 20)
         net = gl.attach_dedlu(gl.compile_netlist(gl.encode_cnf(cnf), penalty=2), "sat", 1)
@@ -171,3 +184,26 @@ def test_golden_anneal(name):
     m, sched, e0 = _golden_instance(name)
     result = gl.metropolis_anneal(m, sched, target=e0)
     assert hashlib.sha256(repr(result).encode()).hexdigest() == ANNEAL_GOLDEN[name]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 204, 2**31 + 11, 3 * 2**30, 2**32])
+@pytest.mark.parametrize("initial", [0, 7, 8])
+def test_draws_match_numpy_generator(n, initial):
+    # the last n values make Lemire's method reject often; an odd initial
+    # draw leaves a cached 32-bit half, an even one does not
+    for seed in range(4):
+        ours = np.random.Generator(np.random.Philox(seed))
+        ref = np.random.Generator(np.random.Philox(seed))
+        assert ours.integers(0, 2, size=initial).tolist() == ref.integers(0, 2, size=initial).tolist()
+        positions, uniforms = gl.anneal._draws(ours, n)
+        order = random.Random(seed)
+        for _ in range(3000):
+            if order.random() < 0.6:
+                assert next(positions) == ref.integers(n)
+            else:
+                assert next(uniforms) == ref.random()
+
+
+def test_draws_refuse_more_than_32_bit_positions():
+    with pytest.raises(gl.ModelError):
+        gl.anneal._draws(np.random.Generator(np.random.Philox(0)), 2**32 + 1)

@@ -264,3 +264,22 @@ def test_parse_gadget_port_on_undeclared_variable():
     with pytest.raises(gl.DumpFormatError) as info:
         gl.parse_gadget(text)
     assert info.value.line == 5
+
+
+AND_FRAGMENT = "VAR 0 input\nVAR 1 input\nVAR 2 output\nTERM 3 0 1 2 : 0 0 0 1 1 1 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "ports, lineno",
+    [
+        ("PORT in 0\nPORT in 1\nPORT in 0\nPORT out 2", 7),
+        ("PORT in 0\nPORT anc 0\nPORT out 2", 6),
+        ("PORT in 0\nPORT in 1\nPORT out 2\nPORT in 2", 8),
+        ("PORT out 2\nPORT in 0\nPORT out 1", 7),
+        ("PORT in 0\nPORT in 1\n# no out port\n", 7),
+    ],
+)
+def test_parse_gadget_port_errors_carry_line_numbers(ports, lineno):
+    with pytest.raises(gl.DumpFormatError) as info:
+        gl.parse_gadget(AND_FRAGMENT + ports)
+    assert info.value.line == lineno

@@ -221,6 +221,7 @@ def test_dump_fractional_energies_round_trip():
         ("VAR 0 wire\n\nCLAMP 1 0", 3),
         ("VAR 0 wire\nTERM 2 0 1 : 0 0 0 0", 2),
         ("TERM 1 0 : 0 1\nVAR 0 wire", 1),
+        ("VAR 0 wire\nCLAMP 0 0\nCLAMP 0 1", 3),
     ],
 )
 def test_dump_parse_errors_carry_line_numbers(bad, lineno):
