@@ -398,7 +398,14 @@ def parse_gadget(text: str, name: str = "parsed") -> Gadget:
     ins = tuple(v for kind, v in ports if kind == "in")
     outs = [v for kind, v in ports if kind == "out"]
     anc = tuple(v for kind, v in ports if kind == "anc")
+    # what is missing from a whole dump is reported at its last line
+    last = max(1, len(text.splitlines()))
     if not outs:
-        raise DumpFormatError(len(text.splitlines()), "gadget dump needs an out port")
+        raise DumpFormatError(last, "gadget dump needs an out port")
+    if clamps:
+        raise DumpFormatError(last, f"variable {min(clamps)} is clamped in a gadget dump")
+    unlisted = sorted({v.id for v in variables} - {v for _, v in ports})
+    if unlisted:
+        raise DumpFormatError(last, f"variable {unlisted[0]} is not listed by a PORT line")
     fragment = EnergyModel(tuple(variables), tuple(terms), clamps)
     return Gadget(name=name, inputs=ins, output=outs[0], ancillae=anc, fragment=fragment)

@@ -34,6 +34,11 @@ the energy vector.  Energies are integerized over a common denominator and
 summed in int64 when the largest possible sum stays below 2**62, as Python
 ints otherwise.  Masks are scanned in blocks bounded by `_BLOCK_BYTES`; each
 solver carries its running result from block to block.
+
+Compiled networks repeat a few gadget tables on thousands of terms, and
+terms built from one table share its tuple: the parser reuses the table of
+a TERM line whose energy text it has already read, and integerizing,
+stacking and formatting handle each distinct table object once per call.
 """
 
 from __future__ import annotations
@@ -103,6 +108,9 @@ class Variable:
             raise ModelError(f"unknown role {self.role!r}")
 
 
+_FRACTION_ONLY = {Fraction}
+
+
 @dataclass(frozen=True)
 class EnergyTerm:
     """A k-local energy table over an ordered tuple of distinct variables."""
@@ -112,7 +120,10 @@ class EnergyTerm:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
-        object.__setattr__(self, "table", tuple(as_energy(e) for e in self.table))
+        # A tuple of plain Fractions is kept as is, so terms built from one
+        # table (gadget copies, repeated dump lines) share a single object.
+        if type(self.table) is not tuple or set(map(type, self.table)) != _FRACTION_ONLY:
+            object.__setattr__(self, "table", tuple(as_energy(e) for e in self.table))
         k = len(self.vars)
         if not 1 <= k <= K_MAX:
             raise ModelError(f"term arity {k} outside 1..{K_MAX}; decompose first")
@@ -255,17 +266,24 @@ def _folded(model: EnergyModel):
 
 
 def _integerized(offset: Fraction, folded):
-    """Scale all energies by a common denominator so the hot loop is int-only."""
+    """Scale all energies by a common denominator so the hot loop is int-only.
+
+    Each distinct table object is read once; terms that shared a Fraction
+    table share its integer table.
+    """
+    # `folded` keeps every table alive, so no id is reused during the call
+    distinct = {id(table): table for _, table in folded}
     denoms = {offset.denominator}
-    for _, table in folded:
+    for table in distinct.values():
         denoms.update(e.denominator for e in table)
     denom = lcm(*denoms)
     scale = {d: denom // d for d in denoms}
     off = offset.numerator * scale[offset.denominator]
-    terms = [
-        (positions, tuple(e.numerator * scale[e.denominator] for e in table))
-        for positions, table in folded
-    ]
+    scaled = {
+        key: tuple(e.numerator * scale[e.denominator] for e in table)
+        for key, table in distinct.items()
+    }
+    terms = [(positions, scaled[id(table)]) for positions, table in folded]
     return denom, off, terms
 
 
@@ -379,14 +397,27 @@ def _term_groups(terms, row):
     reach 2**62, and as Python ints (dtype object) otherwise.
     """
     denom, _, int_terms = _integerized(Fraction(0), [(t.vars, t.table) for t in terms])
-    bound = sum(max(max(table), -min(table)) for _, table in int_terms)
-    dtype = np.dtype(np.int64 if bound < _INT64_BOUND else object)
+    # each arity's distinct tables are converted to an array once; every
+    # term picks its table's row of that stack
+    stacks: dict[int, list] = {}
+    stack_row: dict[int, int] = {}
+    peak: dict[int, int] = {}
     by_arity: dict[int, list] = {}
+    bound = 0
     for vars_, table in int_terms:
-        by_arity.setdefault(len(vars_), []).append((vars_, table))
+        key = id(table)
+        if key not in stack_row:
+            stack = stacks.setdefault(len(vars_), [])
+            stack_row[key] = len(stack)
+            stack.append(table)
+            peak[key] = max(max(table), -min(table))
+        bound += peak[key]
+        by_arity.setdefault(len(vars_), []).append((vars_, stack_row[key]))
+    dtype = np.dtype(np.int64 if bound < _INT64_BOUND else object)
     groups = []
-    for _, ts in sorted(by_arity.items()):
-        tables = np.array([table for _, table in ts], dtype=dtype)
+    for arity, ts in sorted(by_arity.items()):
+        picks = np.array([r for _, r in ts], dtype=np.intp)
+        tables = np.array(stacks[arity], dtype=dtype)[picks]
         groups.append((_arg_cols([vars_ for vars_, _ in ts], row), tables))
     return denom, dtype, groups
 
@@ -491,10 +522,12 @@ def format_model(model: EnergyModel, ports=None) -> str:
         lines.append(line)
     for vid in sorted(model.clamps):
         lines.append(f"CLAMP {vid} {model.clamps[vid]}")
+    table_text: dict[int, str] = {}  # each distinct table is formatted once
     for t in model.terms:
-        ids = " ".join(str(v) for v in t.vars)
-        energies = " ".join(str(e) for e in t.table)
-        lines.append(f"TERM {t.arity} {ids} : {energies}")
+        energies = table_text.get(id(t.table))
+        if energies is None:
+            energies = table_text[id(t.table)] = " ".join(map(str, t.table))
+        lines.append(f"TERM {t.arity} {' '.join(map(str, t.vars))} : {energies}")
     for kind, vid in ports or ():
         lines.append(f"PORT {kind} {vid}")
     return "\n".join(lines) + "\n"
@@ -534,6 +567,9 @@ def parse_statements(text: str, allow_ports: bool = False):
     clamps: dict[int, int] = {}
     terms: list[EnergyTerm] = []
     ports: list[tuple[str, int]] = []
+    # energy tokens already parsed -> their table, shared by every term
+    # line that repeats them
+    tables: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -570,7 +606,10 @@ def parse_statements(text: str, allow_ports: bool = False):
                     lineno, f"TERM {k} needs {k} ids, ':', then {1 << k} energies"
                 )
             vids = tuple(_parse_ref(t, lineno, declared) for t in tokens[2 : 2 + k])
-            table = tuple(_parse_energy(t, lineno) for t in tokens[3 + k :])
+            energies = tuple(tokens[3 + k :])
+            table = tables.get(energies)
+            if table is None:
+                table = tables[energies] = tuple(_parse_energy(t, lineno) for t in energies)
             try:
                 terms.append(EnergyTerm(vids, table))
             except ModelError as exc:

@@ -172,8 +172,7 @@ def compile_netlist(
     p = as_energy(penalty)
     j_c = as_energy(wire_coupling)
     wire_chains = dict(wire_chains or {})
-    nl.validate()
-    order = nl.topo_gates()
+    order = nl.validate()
     known_nets = set(nl.nets())
     for net, length in wire_chains.items():
         if net not in known_nets:
@@ -221,31 +220,48 @@ def compile_netlist(
         if net in wire_chains:
             add_chain(net)
 
-    gadget_cache: dict = {}
+    # Everything that depends only on the gadget is derived once per gadget:
+    # its ancilla label suffixes here, its counts, floor and ground energy
+    # from its use count after the loop.
+    functions: dict = {}
+    gadgets: dict = {}
+    uses: dict = {}
     for gate in order:
-        fn = _gate_function(gate)
-        fn, unique_ins = fold_repeated_inputs(fn, list(gate.inputs))
+        fn_key = (gate.kind, len(gate.inputs), gate.func)
+        fn = functions.get(fn_key)
+        if fn is None:
+            fn = functions[fn_key] = _gate_function(gate)
+        fn, unique_ins = fold_repeated_inputs(fn, gate.inputs)
         key = (gate.kind, fn.outputs)
-        if key not in gadget_cache:
-            gadget_cache[key] = _gate_gadget(gate, fn, policy, p, and_profile)
-        g = gadget_cache[key]
+        if key not in gadgets:
+            g = _gate_gadget(gate, fn, policy, p, and_profile)
+            labels = {v.id: v.label for v in g.fragment.variables}
+            gadgets[key] = (g, [(a, labels[a] or a) for a in g.ancillae])
+            uses[key] = 0
+            for k in g.counts:
+                counts.setdefault(k, 0)
+        g, ancillae = gadgets[key]
+        uses[key] += 1
 
         var_map = {gv: consumer_var[net] for gv, net in zip(g.inputs, unique_ins)}
         var_map[g.output] = driver_var[gate.output]
-        for a in g.ancillae:
-            var_map[a] = alloc.new("ancilla", f"{gate.output}.{g.fragment.variable(a).label or a}")
+        for a, suffix in ancillae:
+            var_map[a] = alloc.new("ancilla", f"{gate.output}.{suffix}")
         g_terms, g_forcings = instantiate(g, var_map)
         terms += g_terms
         plan += g_forcings
+        if gate.output in wire_chains:
+            add_chain(gate.output)
+
+    for key, n in uses.items():
+        g = gadgets[key][0]
         for k, v in g.counts.items():
-            counts[k] = counts.get(k, 0) + v
+            counts[k] += n * v
         floor = g.penalty_floor if floor is None else min(floor, g.penalty_floor)
         if g.ground_table is None or len(set(g.ground_table)) != 1:
             edc = False
         else:
-            base_ground += g.ground_table[0]
-        if gate.output in wire_chains:
-            add_chain(gate.output)
+            base_ground += n * g.ground_table[0]
 
     model = EnergyModel(tuple(alloc.variables), tuple(terms))
     return Network(

@@ -86,7 +86,9 @@ class Netlist:
             drivers[g.output] = g
         return drivers
 
-    def validate(self):
+    def validate(self) -> list[Gate]:
+        """Check drivers, reads and acyclicity; returns the gates in
+        dependency order (`topo_gates`)."""
         drivers = self.driver_map()
         for g in self.gates:
             for n in g.inputs:
@@ -95,7 +97,7 @@ class Netlist:
         for n in self.outputs:
             if n not in drivers and n not in self.inputs:
                 raise NetlistError(f"declared output {n!r} is never driven")
-        self.topo_gates()
+        return self.topo_gates()
 
     def topo_gates(self) -> list[Gate]:
         """Gates in dependency order (Kahn); raises CycleError on feedback."""

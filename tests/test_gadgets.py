@@ -277,9 +277,21 @@ AND_FRAGMENT = "VAR 0 input\nVAR 1 input\nVAR 2 output\nTERM 3 0 1 2 : 0 0 0 1 1
         ("PORT in 0\nPORT in 1\nPORT out 2\nPORT in 2", 8),
         ("PORT out 2\nPORT in 0\nPORT out 1", 7),
         ("PORT in 0\nPORT in 1\n# no out port\n", 7),
+        ("PORT in 0\nPORT out 2", 6),
+        ("CLAMP 1 0\nPORT in 0\nPORT in 1\nPORT out 2\n", 8),
     ],
 )
 def test_parse_gadget_port_errors_carry_line_numbers(ports, lineno):
     with pytest.raises(gl.DumpFormatError) as info:
         gl.parse_gadget(AND_FRAGMENT + ports)
     assert info.value.line == lineno
+
+
+def test_parse_gadget_names_unlisted_and_clamped_variables():
+    with pytest.raises(gl.DumpFormatError, match="variable 1 is not listed"):
+        gl.parse_gadget(AND_FRAGMENT + "PORT in 0\nPORT out 2\n")
+    with pytest.raises(gl.DumpFormatError, match="variable 1 is clamped"):
+        gl.parse_gadget(AND_FRAGMENT + "CLAMP 1 0\nPORT in 0\nPORT in 1\nPORT out 2\n")
+    with pytest.raises(gl.DumpFormatError) as info:
+        gl.parse_gadget("")
+    assert info.value.line == 1

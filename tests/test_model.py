@@ -222,6 +222,14 @@ def test_dump_fractional_energies_round_trip():
         ("VAR 0 wire\nTERM 2 0 1 : 0 0 0 0", 2),
         ("TERM 1 0 : 0 1\nVAR 0 wire", 1),
         ("VAR 0 wire\nCLAMP 0 0\nCLAMP 0 1", 3),
+        # a table already parsed on an earlier line, on a line that is wrong
+        ("VAR 0 wire\nTERM 1 0 : 1/2 3\nTERM 1 5 : 1/2 3", 3),
+        ("VAR 0 wire\nVAR 1 wire\nTERM 1 0 : 1/2 3\nTERM 2 0 1 : 1/2 3", 4),
+        ("VAR 0 wire\nTERM 1 0 : 1/2 3\nTERM 1 0 : 1/2 3 1/2", 3),
+        ("VAR 0 wire\nVAR 1 wire\nTERM 2 0 1 : 1 2 3 4\nTERM 2 1 1 : 1 2 3 4", 4),
+        # a bad token in the second of two near-identical tables
+        ("VAR 0 wire\nTERM 1 0 : 1/2 3\nTERM 1 0 : 1/2 3x", 3),
+        ("VAR 0 wire\nTERM 1 0 : 1/2 3\n# note\nTERM 1 0 : 1/0 3", 4),
     ],
 )
 def test_dump_parse_errors_carry_line_numbers(bad, lineno):
@@ -285,3 +293,127 @@ def test_enumerate_and_spectrum_match_plain_loop(m):
             result = gl.enumerate_ground_states(m)
             assert repr(result) == repr((e0, states))
             assert gl.spectrum(m) == report
+
+
+def test_shared_table_counts_once_per_term_in_overflow_bound():
+    # one table object on five terms: any single entry fits int64, the sum
+    # of five does not
+    table = (Fraction(1 << 61), Fraction(0))
+    m = gl.EnergyModel(
+        tuple(gl.Variable(i) for i in range(5)),
+        tuple(gl.EnergyTerm((i,), table) for i in range(5)),
+    )
+    assert len({id(t.table) for t in m.terms}) == 1
+    levels = _levels(m)
+    e0 = min(levels)
+    assert gl.enumerate_ground_states(m) == (e0, levels[e0])
+    assert gl.spectrum(m).first_excited_energy == 1 << 61
+
+
+# Spellings of a few values, several per value, so equal tables can be
+# written with different text.
+SPELLINGS = ("1/2", "2/4", "0.5", "-3", "-6/2", "0", "-0", "00", "1", "7/3", "14/6")
+
+
+@st.composite
+def pooled_dumps(draw):
+    """Dump text whose TERM lines draw their energies from a small pool of
+    token lists, so tables repeat verbatim and in other spellings."""
+    n = draw(st.integers(1, 5))
+    lines = [f"VAR {i} wire" for i in range(n)]
+    if draw(st.booleans()):
+        lines.append(f"CLAMP {draw(st.integers(0, n - 1))} {draw(st.integers(0, 1))}")
+    pools = {
+        k: draw(st.lists(st.lists(st.sampled_from(SPELLINGS), min_size=1 << k, max_size=1 << k),
+                         min_size=1, max_size=3))
+        for k in (1, 2, 3)
+    }
+    for _ in range(draw(st.integers(0, 12))):
+        vars_ = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n, 3), unique=True))
+        energies = draw(st.sampled_from(pools[len(vars_)]))
+        lines.append(f"TERM {len(vars_)} {' '.join(map(str, vars_))} : {' '.join(energies)}")
+    return "\n".join(lines) + "\n"
+
+
+def _reference_parse(text):
+    """Every energy token through Fraction on its own; no sharing."""
+    variables, clamps, terms = [], {}, []
+    for line in text.splitlines():
+        tokens = line.split()
+        if tokens[0] == "VAR":
+            variables.append(gl.Variable(int(tokens[1]), tokens[2]))
+        elif tokens[0] == "CLAMP":
+            clamps[int(tokens[1])] = int(tokens[2])
+        else:
+            k = int(tokens[1])
+            vids = tuple(int(t) for t in tokens[2 : 2 + k])
+            terms.append(gl.EnergyTerm(vids, tuple(Fraction(t) for t in tokens[3 + k :])))
+    return gl.EnergyModel(tuple(variables), tuple(terms), clamps)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pooled_dumps())
+def test_parse_with_repeated_tables_matches_per_token_parse(text):
+    parsed = gl.parse_model(text)
+    assert parsed == _reference_parse(text)
+    canonical = gl.format_model(parsed)
+    assert gl.format_model(gl.parse_model(canonical)) == canonical
+    # a fresh parse of the formatted text reads as the same model
+    assert gl.parse_model(canonical) == parsed
+
+
+def test_repeated_term_lines_share_one_table():
+    text = "VAR 0 wire\nVAR 1 wire\nTERM 1 0 : 1/2 3\nTERM 1 1 : 1/2 3\nTERM 1 1 : 2/4 3\n"
+    first, second, respelled = gl.parse_model(text).terms
+    assert first.table is second.table
+    assert respelled.table == first.table
+    # compiled copies of a gadget keep the gadget's table objects
+    g = gl.symmetrize(gl.synthesize_gadget(gl.AND2, 1))
+    net = gl.compile_netlist(gl.parse_netlist(
+        "INPUT a\nINPUT b\nINPUT c\nOUTPUT y\nGATE AND a b -> t\nGATE AND t c -> y\n"
+    ), policy="edc-symmetrized")
+    distinct = {id(t.table) for t in net.model.terms}
+    assert len(distinct) == len({id(t.table) for t in g.fragment.terms})
+
+
+DUMP_WORDS = ("VAR", "CLAMP", "TERM", "PORT", "in", "out", "anc", "wire", "input", "gremlin",
+              ":", "#", "0", "1", "2", "3", "-1", "1/2", "1/0", "x", "8", "9", "0.5")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.lists(st.lists(st.sampled_from(DUMP_WORDS), max_size=8), max_size=8).map(
+        lambda lines: "\n".join(" ".join(words) for words in lines)),
+    st.text(alphabet="VARTEMCLPOin 0123456789-/:#.\n\t"),
+    st.text(max_size=40),
+))
+def test_arbitrary_text_raises_only_dump_format_errors(text):
+    for parse in (gl.parse_model, lambda t: gl.parse_model(t, allow_ports=True), gl.parse_gadget):
+        try:
+            parse(text)
+        except gl.DumpFormatError as exc:
+            assert exc.line >= 1
+
+
+def test_energy_term_coerces_entries_as_before():
+    term = gl.EnergyTerm([0], [1, "-3/6"])
+    assert type(term.vars) is tuple and type(term.table) is tuple
+    assert term.table == (Fraction(1), Fraction(-1, 2))
+    assert all(type(e) is Fraction for e in term.table)
+
+    class Half(Fraction):
+        pass
+
+    term = gl.EnergyTerm((0,), (Half(1, 2), Fraction(3)))
+    assert type(term.table) is tuple and term.table == (Fraction(1, 2), Fraction(3))
+
+    class Table(tuple):
+        pass
+
+    shared = (Fraction(1), Fraction(2))
+    assert type(gl.EnergyTerm((0,), Table(shared)).table) is tuple
+    assert gl.EnergyTerm((0,), shared).table is shared
+    with pytest.raises(TypeError):
+        gl.EnergyTerm((0,), (Fraction(1), 0.5))
+    with pytest.raises(TypeError):
+        gl.EnergyTerm((0,), [0.25, 1])

@@ -1,10 +1,11 @@
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
 import groundlogic as gl
-from util import random_netlist
+from util import FLIPPER, TWO_STATE, random_cnf, random_netlist
 
 NOT_NL = "INPUT x\nOUTPUT y\nGATE NOT x -> y\n"
 AND_NL = "INPUT a\nINPUT b\nOUTPUT y\nGATE AND a b -> y\n"
@@ -263,3 +264,58 @@ def test_gate_with_tied_inputs_compiles():
     _, states = net.ground_states()
     a, y = net.port_map["a"], net.port_map["y"]
     assert {(s[a], s[y]) for s in states} == {(0, 0), (1, 1)}
+
+
+# sha256 of the compiled dump, element counts, plan and solve preconditions:
+# pins variable ids, labels, term order and every table of compile_netlist.
+COMPILE_GOLDEN = {
+    "cnf301/penalty": "bd97e8716f6fcf6594f4b5349efdb4d82f51edfaca3f84bc83ab84dc320702af",
+    "cnf301/edc-symmetrized": "c09da6f090f42eab03b6d486270bd01a7cbd6bf05ffdacfe362f99c141f749c3",
+    "cnf801/penalty": "a80bc1aaeed3f5638b74175f58b7c15b45256630c4ae5f13367a4a8a30baef24",
+    "cnf801/edc-symmetrized": "6a89e1a534ae48cee7d7bc68ceaadfd47b7bc6af417433a07cc098dcbccf7f08",
+    "flipper/penalty": "904cca2a69cebb791a6ce56eae09ce24ee1732747f1e014e55554c6ce87b46d5",
+    "flipper/edc-symmetrized": "55f3d6e625c0b73f7211765198a821de2fea4004a3e69ba98fd80656173fae25",
+    "two-state/penalty": "fbe00fc472767cdfaa586792eb5f09dd7af65f8c6a05b2ce5b9f9a2d528433bf",
+    "two-state/edc-symmetrized": "68280e539e20c7b1e7c6490cf052a1a196bd2b893234b1d71e04e21da647664b",
+    "mixed/penalty": "bc766fdd90e61075546c6946ea34a6446a8bd1758f20f7af8222dac8fbfed613",
+    "mixed/edc-symmetrized": "a4b60d67acff9758e2548f2eef7b293ebc80de32da9e54cc30958eb1a2452fd6",
+}
+
+
+def _mixed_netlist():
+    """Tied gate inputs, a custom gate, chained nets and a 2-input AND that
+    takes the physical profile under the symmetrized policy."""
+    maj = gl.TruthFunction.from_callable(3, lambda a, b, c: int(a + b + c >= 2))
+    nl = gl.Netlist(inputs=["a", "b", "c"], outputs=["y", "z"])
+    nl.gates += [
+        gl.Gate("AND", ("a", "a", "b"), "t"),
+        gl.Gate("OR", ("c", "c"), "u"),
+        gl.Gate("AND", ("t", "u"), "v"),
+        gl.Gate("MAJ3", ("v", "a", "v"), "w", func=maj),
+        gl.Gate("OR", ("w", "b", "t"), "y"),
+        gl.Gate("NOT", ("v",), "z"),
+    ]
+    return nl
+
+
+def _compiled(name):
+    instance, policy = name.split("/")
+    if instance.startswith("cnf"):
+        cnf = random_cnf(random.Random(int(instance[3:])), 10, 42)
+        return gl.compile_netlist(gl.encode_cnf(cnf), policy=policy, penalty=2)
+    if instance == "flipper":
+        return gl.build_lattice(FLIPPER, 4, 1, policy=policy).network
+    if instance == "two-state":
+        return gl.build_lattice(TWO_STATE, 3, 1, policy=policy).network
+    return gl.compile_netlist(
+        _mixed_netlist(), policy=policy, penalty=4, and_profile=(1, 0, 2, -1),
+        wire_chains={"a": 3, "v": 2, "y": 4}, wire_coupling=Fraction(5, 2),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(COMPILE_GOLDEN))
+def test_golden_compile(name):
+    net = _compiled(name)
+    text = gl.format_model(net.model) + repr(net.elements.counts) + repr(net.plan)
+    text += repr((net.penalty_floor, net.base_ground, net.edc))
+    assert hashlib.sha256(text.encode()).hexdigest() == COMPILE_GOLDEN[name]
