@@ -78,16 +78,13 @@ from .turing import (
     DtmSpec,
     Lattice,
     LatticePlan,
-    SfscBlock,
     SfscFunction,
     SqdtmComplexity,
     build_lattice,
     build_sfsc_function,
-    build_sfsc_gadget,
     build_sfsc_netlist,
     format_dtm,
     parse_dtm,
-    sfsc_block_gadget,
     simulate_dtm_oracle,
     verify_ground_histories,
 )

@@ -33,6 +33,7 @@ from .model import (
     format_model,
     parse_statements,
     total_energy,
+    _renamed_terms,
     _scan,
 )
 
@@ -291,16 +292,21 @@ def make_physical_and(e00, e01, e10, e11, penalty) -> Gadget:
     )
 
 
-def instantiate(g: Gadget, var_map: dict[int, int]):
-    """Rename a gadget's terms and forcings through a variable mapping."""
-    terms = tuple(
-        EnergyTerm(tuple(var_map[v] for v in t.vars), t.table) for t in g.fragment.terms
+def instantiate(g: Gadget, var_map):
+    """Rename a gadget's terms and forcings through a variable mapping (any
+    container indexed by the gadget's variable ids, injective over them)."""
+    return (
+        tuple(_renamed_terms(g.fragment.terms, var_map)),
+        tuple(_renamed_forcings(g.forcings, var_map)),
     )
-    forcings = tuple(
-        Forcing(var_map[f.var], tuple(var_map[a] for a in f.args), f.table)
-        for f in g.forcings
-    )
-    return terms, forcings
+
+
+def _renamed_forcings(forcings, mapping) -> list[Forcing]:
+    new = tuple.__new__  # the tuple Forcing(...) builds, without binding its arguments
+    return [
+        new(Forcing, (mapping[var], tuple([mapping[a] for a in args]), table))
+        for var, args, table in forcings
+    ]
 
 
 def symmetrize(g: Gadget, inverter_penalty=None) -> Gadget:

@@ -171,6 +171,27 @@ class EnergyTerm:
         return EnergyTerm(tuple(v for _, v in keep), tuple(sub)), Fraction(0)
 
 
+def _renamed_terms(terms, mapping) -> list[EnergyTerm]:
+    """Copies of validated terms with every variable v renamed to mapping[v].
+
+    The mapping must be injective over the terms' variables; that is checked
+    once per call.  Each copy then has distinct variables, the same arity and
+    the same (already checked) table object as its original, so the copies
+    skip `EnergyTerm.__post_init__`.
+    """
+    renamed = [tuple([mapping[v] for v in t.vars]) for t in terms]
+    if len(set().union(*renamed)) != len(set().union(*(t.vars for t in terms))):
+        raise ModelError("renaming maps two term variables to one")
+    new, set_field = object.__new__, object.__setattr__
+    copies = []
+    for t, vars_ in zip(terms, renamed):
+        copy = new(EnergyTerm)
+        set_field(copy, "vars", vars_)
+        set_field(copy, "table", t.table)
+        copies.append(copy)
+    return copies
+
+
 @dataclass(frozen=True)
 class EnergyModel:
     """Declared variables, k-local terms, and clamped bits.

@@ -150,6 +150,65 @@ def _gate_gadget(gate, fn: TruthFunction, policy: str, penalty, and_profile) -> 
     return symmetrize(synthesize_gadget(fn, penalty, name=name))
 
 
+class _GateGadgets:
+    """Gate to gadget, shared by `compile_netlist` and the lattice stamp.
+
+    Everything that depends only on the gadget is derived once per distinct
+    (kind, function after folding repeated inputs): the gadget and its
+    ancilla label suffixes in `resolve`, its counts, floor and ground energy
+    from its use count in `totals`.
+    """
+
+    def __init__(self, policy: str, penalty: Fraction, and_profile):
+        self.policy = policy
+        self.penalty = penalty
+        self.and_profile = and_profile
+        self.functions: dict = {}
+        self.gadgets: dict = {}
+        self.uses: dict = {}  # key -> placed copies, in order of first use
+
+    def resolve(self, gate):
+        """(key, gadget, ancilla (id, label suffix) pairs, unique input nets)."""
+        fn_key = (gate.kind, len(gate.inputs), gate.func)
+        fn = self.functions.get(fn_key)
+        if fn is None:
+            fn = self.functions[fn_key] = _gate_function(gate)
+        fn, unique_ins = fold_repeated_inputs(fn, gate.inputs)
+        key = (gate.kind, fn.outputs)
+        entry = self.gadgets.get(key)
+        if entry is None:
+            g = _gate_gadget(gate, fn, self.policy, self.penalty, self.and_profile)
+            labels = {v.id: v.label for v in g.fragment.variables}
+            entry = self.gadgets[key] = (g, [(a, labels[a] or a) for a in g.ancillae])
+        return key, entry[0], entry[1], unique_ins
+
+    def use(self, key, counts: dict[str, int]):
+        """Count one placed copy; a gadget's element kinds enter `counts` at
+        its first use."""
+        if key in self.uses:
+            self.uses[key] += 1
+        else:
+            self.uses[key] = 1
+            for k in self.gadgets[key][0].counts:
+                counts.setdefault(k, 0)
+
+    def totals(self, counts: dict[str, int], floor):
+        """Add the used gadgets' element counts into `counts` and return
+        (floor, base ground, edc)."""
+        base_ground = Fraction(0)
+        edc = True
+        for key, n in self.uses.items():
+            g = self.gadgets[key][0]
+            for k, v in g.counts.items():
+                counts[k] += n * v
+            floor = g.penalty_floor if floor is None else min(floor, g.penalty_floor)
+            if g.ground_table is None or len(set(g.ground_table)) != 1:
+                edc = False
+            else:
+                base_ground += n * g.ground_table[0]
+        return (floor if floor is not None else self.penalty), base_ground, edc
+
+
 def compile_netlist(
     nl,
     policy: str = "penalty",
@@ -187,8 +246,6 @@ def compile_netlist(
     plan: list[Forcing] = []
     counts: dict[str, int] = {}
     floor = None
-    base_ground = Fraction(0)
-    edc = True
 
     def role_of(net: str) -> str:
         if net in nl.inputs:
@@ -220,29 +277,10 @@ def compile_netlist(
         if net in wire_chains:
             add_chain(net)
 
-    # Everything that depends only on the gadget is derived once per gadget:
-    # its ancilla label suffixes here, its counts, floor and ground energy
-    # from its use count after the loop.
-    functions: dict = {}
-    gadgets: dict = {}
-    uses: dict = {}
+    gadgets = _GateGadgets(policy, p, and_profile)
     for gate in order:
-        fn_key = (gate.kind, len(gate.inputs), gate.func)
-        fn = functions.get(fn_key)
-        if fn is None:
-            fn = functions[fn_key] = _gate_function(gate)
-        fn, unique_ins = fold_repeated_inputs(fn, gate.inputs)
-        key = (gate.kind, fn.outputs)
-        if key not in gadgets:
-            g = _gate_gadget(gate, fn, policy, p, and_profile)
-            labels = {v.id: v.label for v in g.fragment.variables}
-            gadgets[key] = (g, [(a, labels[a] or a) for a in g.ancillae])
-            uses[key] = 0
-            for k in g.counts:
-                counts.setdefault(k, 0)
-        g, ancillae = gadgets[key]
-        uses[key] += 1
-
+        key, g, ancillae, unique_ins = gadgets.resolve(gate)
+        gadgets.use(key, counts)
         var_map = {gv: consumer_var[net] for gv, net in zip(g.inputs, unique_ins)}
         var_map[g.output] = driver_var[gate.output]
         for a, suffix in ancillae:
@@ -253,16 +291,7 @@ def compile_netlist(
         if gate.output in wire_chains:
             add_chain(gate.output)
 
-    for key, n in uses.items():
-        g = gadgets[key][0]
-        for k, v in g.counts.items():
-            counts[k] += n * v
-        floor = g.penalty_floor if floor is None else min(floor, g.penalty_floor)
-        if g.ground_table is None or len(set(g.ground_table)) != 1:
-            edc = False
-        else:
-            base_ground += n * g.ground_table[0]
-
+    floor, base_ground, edc = gadgets.totals(counts, floor)
     model = EnergyModel(tuple(alloc.variables), tuple(terms))
     return Network(
         model=model,
@@ -271,7 +300,7 @@ def compile_netlist(
         outputs=tuple(nl.outputs),
         elements=ComplexityReport(counts),
         plan=tuple(plan),
-        penalty_floor=floor if floor is not None else p,
+        penalty_floor=floor,
         base_ground=base_ground,
         edc=edc,
     )

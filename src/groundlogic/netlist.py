@@ -97,11 +97,13 @@ class Netlist:
         for n in self.outputs:
             if n not in drivers and n not in self.inputs:
                 raise NetlistError(f"declared output {n!r} is never driven")
-        return self.topo_gates()
+        return self._kahn(drivers)
 
     def topo_gates(self) -> list[Gate]:
         """Gates in dependency order (Kahn); raises CycleError on feedback."""
-        drivers = self.driver_map()
+        return self._kahn(self.driver_map())
+
+    def _kahn(self, drivers: dict[str, Gate]) -> list[Gate]:
         in_deg = []
         consumers: dict[str, list[int]] = {}
         for idx, g in enumerate(self.gates):
@@ -175,6 +177,7 @@ def format_netlist(nl: Netlist) -> str:
 
 def parse_netlist(text: str) -> Netlist:
     nl = Netlist()
+    output_lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -184,6 +187,7 @@ def parse_netlist(text: str) -> Netlist:
             nl.inputs.append(tokens[1])
         elif tokens[0] == "OUTPUT" and len(tokens) == 2:
             nl.outputs.append(tokens[1])
+            output_lines.setdefault(tokens[1], lineno)
         elif tokens[0] == "GATE":
             if "->" not in tokens or tokens.index("->") != len(tokens) - 2:
                 raise NetlistFormatError(lineno, "GATE needs <kind> <in...> -> <out>")
@@ -199,10 +203,15 @@ def parse_netlist(text: str) -> Netlist:
                 raise NetlistFormatError(lineno, str(exc)) from None
         else:
             raise NetlistFormatError(lineno, f"unknown statement {tokens[0]!r}")
+    driven = {g.output for g in nl.gates} | set(nl.inputs)
+    for net, lineno in output_lines.items():
+        if net not in driven:
+            raise NetlistFormatError(lineno, f"declared output {net!r} is never driven")
     try:
         nl.validate()
     except NetlistError as exc:
-        raise NetlistFormatError(0, str(exc)) from None
+        # what is wrong with the whole netlist is reported at its last line
+        raise NetlistFormatError(max(1, len(text.splitlines())), str(exc)) from None
     return nl
 
 
@@ -232,6 +241,7 @@ class Cnf:
 def parse_dimacs(text: str) -> Cnf:
     num_vars = None
     num_clauses = None
+    header_line = 0
     clauses: list[tuple[int, ...]] = []
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -246,6 +256,7 @@ def parse_dimacs(text: str) -> Cnf:
                 num_vars, num_clauses = int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsFormatError(lineno, f"bad problem line {line!r}") from None
+            header_line = lineno
             continue
         if num_vars is None:
             raise DimacsFormatError(lineno, "clause before 'p cnf' header")
@@ -266,10 +277,10 @@ def parse_dimacs(text: str) -> Cnf:
     if pending:
         raise DimacsFormatError(lineno, "last clause not terminated by 0")
     if num_vars is None:
-        raise DimacsFormatError(0, "missing 'p cnf' header")
-    if num_clauses is not None and len(clauses) != num_clauses:
+        raise DimacsFormatError(max(1, len(text.splitlines())), "missing 'p cnf' header")
+    if len(clauses) != num_clauses:
         raise DimacsFormatError(
-            0, f"header declares {num_clauses} clauses, found {len(clauses)}"
+            header_line, f"header declares {num_clauses} clauses, found {len(clauses)}"
         )
     return Cnf(num_vars, tuple(clauses))
 

@@ -17,16 +17,42 @@ histories: with the first register row clamped to a tape there is a unique
 ground state, with the row left free there is one ground state per possible
 input tape.  `simulate_dtm_oracle` is the independent step-by-step reference
 simulator those ground states are checked against.
+
+`build_lattice` compiles the cell control once and stamps it p^2 times.
+Each of the cell's G gates is resolved to its gadget by the gate-to-gadget
+step `compile_netlist` uses, and its terms, forcings and ancilla label
+suffixes are instantiated over cell slots: the inputs r, id*, iu*, then the
+cell's K other nets, then each gate's own ancillae.  A placement maps slots
+to variable ids by integer offsets, with no per-cell gates or net names.
+The ids are those a flat compile of the p^2 renamed cell netlists would
+give: register row 1; the boundary bus bits, in cell order; then net k of
+cell c (row-major) at base + c*K + k, where k orders the nets by first
+appearance in the cell's gate list.  Ancilla ids, terms, forcings and the
+order of the element counts follow Kahn's order over all p^2 G gates: a
+FIFO queue seeded with every gate of in-degree 0 in cell-major order, and a
+cell output consumed by the neighbour's gates that read the matching port,
+in gate order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
+from .gadgets import Forcing, _renamed_forcings, instantiate
 from .logic import TruthFunction
-from .model import Assignment, DEFAULT_CAP, ModelError
-from .netbuilder import Network, clamp_inputs, compile_netlist
-from .netlist import Gate, Netlist, netlist_from_bit_functions
+from .model import (
+    Assignment,
+    DEFAULT_CAP,
+    EnergyModel,
+    EnergyTerm,
+    ModelError,
+    Variable,
+    _renamed_terms,
+    as_energy,
+)
+from .netbuilder import POLICIES, ComplexityReport, Network, _GateGadgets, clamp_inputs
+from .netlist import Netlist, netlist_from_bit_functions
 
 MOVE_UP = "U"
 MOVE_DOWN = "D"
@@ -170,10 +196,6 @@ def sfsc_input_nets(s: int) -> list[str]:
     return ["r"] + [f"id{b}" for b in range(s)] + [f"iu{b}" for b in range(s)]
 
 
-def sfsc_output_nets(s: int) -> list[str]:
-    return ["w"] + [f"od{b}" for b in range(s)] + [f"ou{b}" for b in range(s)]
-
-
 def build_sfsc_netlist(f: SfscFunction) -> Netlist:
     """Per-output-bit sum-of-products decomposition of the cell control."""
     s = f.bus_width
@@ -183,55 +205,6 @@ def build_sfsc_netlist(f: SfscFunction) -> Netlist:
     for b in range(s):
         bits[f"ou{b}"] = f.ou_bit(b)
     return netlist_from_bit_functions(sfsc_input_nets(s), bits)
-
-
-@dataclass(frozen=True)
-class SfscBlock:
-    """One compiled cell control: network, port directory, and element count."""
-
-    function: SfscFunction
-    netlist: Netlist
-    network: Network
-    m_elements: int
-
-    def port(self, net: str) -> int:
-        return self.network.port_map[net]
-
-
-def build_sfsc_gadget(
-    f: SfscFunction, policy: str = "edc-symmetrized", penalty=1
-) -> SfscBlock:
-    """Compile one cell control under the given policy and report its size."""
-    if f.bus_width > 3:
-        raise DtmError(f"bus width {f.bus_width} exceeds the desk-scale limit 3")
-    nl = build_sfsc_netlist(f)
-    network = compile_netlist(nl, policy=policy, penalty=penalty)
-    return SfscBlock(f, nl, network, network.elements.total)
-
-
-def sfsc_block_gadget(block: SfscBlock):
-    """View a compiled cell control as a single gadget (W is the designated
-    output; move-bus outputs and all internals become ancillae)."""
-    from .gadgets import Gadget
-
-    net = block.network
-    inputs = tuple(net.port_map[n] for n in sfsc_input_nets(block.function.bus_width))
-    output = net.port_map["w"]
-    rest = tuple(
-        v.id for v in net.model.variables if v.id not in inputs and v.id != output
-    )
-    return Gadget(
-        name="sfsc",
-        inputs=inputs,
-        output=output,
-        ancillae=rest,
-        fragment=net.model,
-        forcings=net.plan,
-        counts=dict(net.elements.counts),
-        penalty_floor=net.penalty_floor,
-        ground_table=tuple(net.base_ground for _ in range(1 << len(inputs))),
-        exact_extension=net.edc,
-    )
 
 
 @dataclass(frozen=True)
@@ -288,6 +261,164 @@ def _reg(i: int, j: int) -> str:
     return f"t{i}_{j}"
 
 
+class _CellGate(NamedTuple):
+    """One gate of the cell control, compiled over cell slots."""
+
+    key: tuple
+    out_slot: int
+    ancillae: range  # its ancilla slots
+    suffixes: tuple[str, ...]  # their label suffixes
+    terms: slice  # its terms and forcings in the cell's lists
+    forcings: slice
+    deg: int  # inputs driven inside the cell, repeats counted
+    pins: tuple[int, ...]  # cell-input slots read, repeats counted
+    inner: tuple[int, ...]  # gates of the cell reading the output, in gate order
+    outer: tuple[int, tuple[int, ...]] | None  # (port kind, neighbour's readers)
+
+
+# The ports a neighbour reads a cell's outputs on: kind 0 is W, read as R by
+# (i+1, j); kind 1 the down bus, read by (i+1, j-1); kind 2 the up bus, read
+# by (i+1, j+1).
+def _port_reads(s: int) -> dict[str, tuple[int, str]]:
+    reads = {"w": (0, "r")}
+    for b in range(s):
+        reads[f"od{b}"] = (1, f"id{b}")
+        reads[f"ou{b}"] = (2, f"iu{b}")
+    return reads
+
+
+def _compile_cell(f: SfscFunction, gadgets: _GateGadgets):
+    """The cell control's gates compiled once, over cell slots.
+
+    Slots 0 .. 2s are the cell inputs r, id*, iu*; the next K slots are the
+    cell's other nets, in order of first appearance in its gate list; then
+    come each gate's own ancillae, in gate order.  Returns (the K net names,
+    one `_CellGate` per gate in gate order, all terms, all forcings).
+    """
+    sub = build_sfsc_netlist(f)
+    slot = {n: k for k, n in enumerate(sfsc_input_nets(f.bus_width))}
+    n_in = len(slot)
+    for gate in sub.gates:
+        for n in (*gate.inputs, gate.output):
+            slot.setdefault(n, len(slot))
+    n_slots = len(slot)
+    readers: dict[str, list[int]] = {}
+    for h, gate in enumerate(sub.gates):
+        for n in gate.inputs:
+            readers.setdefault(n, []).append(h)
+    port_reads = _port_reads(f.bus_width)
+    cell, terms, forcings = [], [], []
+    for gate in sub.gates:
+        key, g, ancillae, unique_ins = gadgets.resolve(gate)
+        var_map = {gv: slot[n] for gv, n in zip(g.inputs, unique_ins)}
+        var_map[g.output] = slot[gate.output]
+        for k, (a, _) in enumerate(ancillae):
+            var_map[a] = n_slots + k
+        g_terms, g_forcings = instantiate(g, var_map)
+        read = port_reads.get(gate.output)
+        cell.append(_CellGate(
+            key, slot[gate.output],
+            range(n_slots, n_slots + len(ancillae)), tuple(sfx for _, sfx in ancillae),
+            slice(len(terms), len(terms) + len(g_terms)),
+            slice(len(forcings), len(forcings) + len(g_forcings)),
+            deg=sum(1 for n in gate.inputs if slot[n] >= n_in),
+            pins=tuple(slot[n] for n in gate.inputs if slot[n] < n_in),
+            inner=tuple(readers.get(gate.output, ())),
+            outer=None if read is None else (read[0], tuple(readers.get(read[1], ()))),
+        ))
+        n_slots += len(ancillae)
+        terms += g_terms
+        forcings += g_forcings
+    return list(slot)[n_in:], cell, terms, forcings
+
+
+def _wire_cells(p: int, s: int, head_start: int, start_code: int, nets: list[str]):
+    """Net ids and labels of the lattice, and each cell's slot-to-id map.
+
+    Ids are register row 1, then the boundary bus bits in cell order, then
+    K = len(nets) per cell in row-major order.  Returns (labels by id, the
+    number of input nets, the boundary clamp bits, maps), where maps[c]
+    lists the ids of cell c's input and net slots.
+    """
+    labels = [_reg(1, j) for j in range(1, p + 1)]
+    clamp_bits: dict[str, int] = {}
+    buses = []
+    for i in range(1, p + 1):
+        for j in range(1, p + 1):
+            down, up = [], []
+            for b in range(s):
+                if i == 1 or j == p:
+                    down.append(len(labels))
+                    labels.append(f"bid{i}_{j}_{b}")
+                    clamp_bits[labels[-1]] = 0  # the down bus never carries the injection
+                else:
+                    down.append(None)
+                if i == 1 or j == 1:
+                    up.append(len(labels))
+                    labels.append(f"biu{i}_{j}_{b}")
+                    injected = (start_code >> b) & 1 if (i, j) == (1, head_start) else 0
+                    clamp_bits[labels[-1]] = injected
+                else:
+                    up.append(None)
+            buses.append((i, j, down, up))
+    n_inputs = len(labels)
+    K = len(nets)
+    k_w = nets.index("w")
+    k_od = [nets.index(f"od{b}") for b in range(s)]
+    k_ou = [nets.index(f"ou{b}") for b in range(s)]
+    maps = []
+    for c, (i, j, down, up) in enumerate(buses):
+        at = n_inputs + c * K
+        # in-buses and R come from the outputs of the cells one row up
+        r = j - 1 if i == 1 else at - p * K + k_w
+        down = [d if d is not None else at - (p - 1) * K + k for d, k in zip(down, k_od)]
+        up = [u if u is not None else at - (p + 1) * K + k for u, k in zip(up, k_ou)]
+        maps.append([r, *down, *up, *range(at, at + K)])
+        named = {"w": _reg(i + 1, j)}
+        for b in range(s):
+            named[f"od{b}"] = f"od{i}_{j}_{b}"
+            named[f"ou{b}"] = f"ou{i}_{j}_{b}"
+        labels += [named.get(n) or f"s{i}_{j}.{n}" for n in nets]
+    return labels, n_inputs, clamp_bits, maps
+
+
+def _gate_order(cell: list[_CellGate], p: int, s: int) -> list[int]:
+    """Kahn's algorithm over the p^2 G gates, gate c*G + g being gate g of
+    cell c: FIFO, seeded in cell-major order, in-degrees counting repeated
+    inputs, and consumers in gate order (the cell's own readers of an
+    output, then its neighbour's readers of the port)."""
+    G = len(cell)
+    cells = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
+    indeg = []
+    rows: dict[tuple, list[int]] = {}  # one per pattern of driven cell inputs
+    for i, j in cells:
+        driven = (i > 1, i > 1 and j < p, i > 1 and j > 1)
+        if driven not in rows:
+            by_slot = [driven[0]] + [driven[1]] * s + [driven[2]] * s
+            rows[driven] = [t.deg + sum(by_slot[q] for q in t.pins) for t in cell]
+        indeg += rows[driven]
+    neighbours = [(i < p, i < p and j > 1, i < p and j < p) for i, j in cells]
+    shift = (p * G, (p - 1) * G, (p + 1) * G)
+    order = [x for x, d in enumerate(indeg) if not d]
+    for x in order:
+        c, g = divmod(x, G)
+        at = x - g
+        t = cell[g]
+        for h in t.inner:
+            indeg[at + h] -= 1
+            if not indeg[at + h]:
+                order.append(at + h)
+        if t.outer is not None and neighbours[c][t.outer[0]]:
+            at += shift[t.outer[0]]
+            for h in t.outer[1]:
+                indeg[at + h] -= 1
+                if not indeg[at + h]:
+                    order.append(at + h)
+    if len(order) != p * p * G:
+        raise DtmError("internal error: lattice wiring has a cycle")
+    return order
+
+
 def build_lattice(
     dtm: DtmSpec,
     p: int,
@@ -302,7 +433,8 @@ def build_lattice(
     With `tape_in` the first register row is clamped and the ground state is
     the unique run on that tape; without it the row stays free and every
     input tape contributes one ground state.  `function` overrides the
-    machine-derived cell-control map (used by mutation tests).
+    machine-derived cell-control map (used by mutation tests).  The cell is
+    compiled once and placed p^2 times (see the module docstring).
     """
     if not 1 <= head_start <= p:
         raise DtmError(f"head start {head_start} outside 1..{p}")
@@ -312,60 +444,72 @@ def build_lattice(
             raise DtmError(f"tape length {len(tape_in)} != p = {p}")
     f = function if function is not None else build_sfsc_function(dtm)
     s = f.bus_width
-    sub = build_sfsc_netlist(f)
+    if s > 3:
+        raise DtmError(f"bus width {s} exceeds the desk-scale limit 3")
+    if policy not in POLICIES:
+        raise ModelError(f"unknown policy {policy!r}")
+    gadgets = _GateGadgets(policy, as_energy(penalty), None)
+    nets, cell, cell_terms, cell_forcings = _compile_cell(f, gadgets)
+    labels, n_inputs, clamp_bits, maps = _wire_cells(p, s, head_start, dtm.code(dtm.start), nets)
+    order = _gate_order(cell, p, s)
+    G = len(cell)
+    w_slot = 1 + 2 * s + nets.index("w")
+    register_var = {
+        (i, j): j - 1 if i == 1 else maps[(i - 2) * p + j - 1][w_slot]
+        for i in range(1, p + 2)
+        for j in range(1, p + 1)
+    }
+    cells = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
+    inbus_down = {key: tuple(m[1 : 1 + s]) for key, m in zip(cells, maps)}
+    inbus_up = {key: tuple(m[1 + s : 1 + 2 * s]) for key, m in zip(cells, maps)}
+    variables = [Variable(v, "input", labels[v]) for v in range(n_inputs)]
+    variables += [Variable(v, "wire", labels[v]) for v in range(n_inputs, len(labels))]
+    for j in range(1, p + 1):
+        v = register_var[(p + 1, j)]
+        variables[v] = Variable(v, "output", labels[v])
 
-    big = Netlist()
-    clamp_bits: dict[str, int] = {}
-    inbus_down: dict[tuple[int, int], tuple[str, ...]] = {}
-    inbus_up: dict[tuple[int, int], tuple[str, ...]] = {}
+    # Ancilla ids follow the gate order; so do the gadgets' first uses,
+    # which order the element counts.
+    n_anc = sum(len(t.suffixes) for t in cell)
+    for m in maps:
+        m += [0] * n_anc
+    counts: dict[str, int] = {}
+    for x in order:
+        c, g = divmod(x, G)
+        t = cell[g]
+        if t.suffixes:
+            first = len(variables)
+            maps[c][t.ancillae.start : t.ancillae.stop] = range(first, first + len(t.suffixes))
+            out = labels[maps[c][t.out_slot]]
+            variables += [
+                Variable(first + a, "ancilla", f"{out}.{sfx}") for a, sfx in enumerate(t.suffixes)
+            ]
+        gadgets.use(t.key, counts)
+    floor, base_ground, edc = gadgets.totals(counts, None)
 
-    def boundary(name: str, bits: int) -> str:
-        big.inputs.append(name)
-        clamp_bits[name] = bits
-        return name
-
-    for i in range(1, p + 2):
-        for j in range(1, p + 1):
-            if i == 1:
-                big.inputs.append(_reg(i, j))
-            elif i == p + 1:
-                big.outputs.append(_reg(i, j))
-
-    start_code = dtm.code(dtm.start)
-    for i in range(1, p + 1):
-        for j in range(1, p + 1):
-            down_nets = []
-            up_nets = []
-            for b in range(s):
-                if i >= 2 and j + 1 <= p:
-                    down_nets.append(f"od{i - 1}_{j + 1}_{b}")
-                else:
-                    injected = 0  # down bus never carries the injection
-                    down_nets.append(boundary(f"bid{i}_{j}_{b}", injected))
-                if i >= 2 and j - 1 >= 1:
-                    up_nets.append(f"ou{i - 1}_{j - 1}_{b}")
-                else:
-                    injected = (start_code >> b) & 1 if (i, j) == (1, head_start) else 0
-                    up_nets.append(boundary(f"biu{i}_{j}_{b}", injected))
-            inbus_down[(i, j)] = tuple(down_nets)
-            inbus_up[(i, j)] = tuple(up_nets)
-
-            rename = {"r": _reg(i, j), "w": _reg(i + 1, j)}
-            for b in range(s):
-                rename[f"id{b}"] = down_nets[b]
-                rename[f"iu{b}"] = up_nets[b]
-                rename[f"od{b}"] = f"od{i}_{j}_{b}"
-                rename[f"ou{b}"] = f"ou{i}_{j}_{b}"
-
-            def net_of(name: str) -> str:
-                return rename.get(name) or f"s{i}_{j}.{name}"
-
-            for g in sub.gates:
-                big.gates.append(
-                    Gate(g.kind, tuple(net_of(n) for n in g.inputs), net_of(g.output), g.func)
-                )
-
-    network = compile_netlist(big, policy=policy, penalty=penalty)
+    # Each cell's terms and forcings are renamed in one pass, then listed in
+    # gate order.
+    placed = [
+        (_renamed_terms(cell_terms, m), _renamed_forcings(cell_forcings, m)) for m in maps
+    ]
+    terms: list[EnergyTerm] = []
+    plan: list[Forcing] = []
+    for x in order:
+        c, g = divmod(x, G)
+        terms += placed[c][0][cell[g].terms]
+        plan += placed[c][1][cell[g].forcings]
+    del placed, maps, order  # not kept alive while the model is validated and clamped
+    network = Network(
+        model=EnergyModel(tuple(variables), tuple(terms)),
+        port_map=dict(zip(labels, range(len(labels)))),
+        inputs=tuple(labels[:n_inputs]),
+        outputs=tuple(_reg(p + 1, j) for j in range(1, p + 1)),
+        elements=ComplexityReport(counts),
+        plan=tuple(plan),
+        penalty_floor=floor,
+        base_ground=base_ground,
+        edc=edc,
+    )
     bindings = dict(clamp_bits)
     if tape_in is not None:
         for j in range(1, p + 1):
@@ -392,24 +536,7 @@ def build_lattice(
         bound_plus_p=bound + p,
         within_bound=total <= bound + p,
     )
-    plan = LatticePlan(
-        p=p,
-        bus_width=s,
-        head_start=head_start,
-        register_var={
-            (i, j): network.port_map[_reg(i, j)]
-            for i in range(1, p + 2)
-            for j in range(1, p + 1)
-        },
-        inbus_down={
-            key: tuple(network.port_map[n] for n in nets)
-            for key, nets in inbus_down.items()
-        },
-        inbus_up={
-            key: tuple(network.port_map[n] for n in nets)
-            for key, nets in inbus_up.items()
-        },
-    )
+    plan = LatticePlan(p, s, head_start, register_var, inbus_down, inbus_up)
     return Lattice(dtm, p, head_start, tape_in, f, network, plan, complexity)
 
 
@@ -507,6 +634,7 @@ def parse_dtm(text: str) -> DtmSpec:
     halts: set[str] = set()
     delta: dict[tuple[str, int], tuple[str, int, str]] = {}
     decision = 1
+    start_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -516,7 +644,7 @@ def parse_dtm(text: str) -> DtmSpec:
         if kind == "STATE" and len(tokens) == 2:
             states.append(tokens[1])
         elif kind == "START" and len(tokens) == 2:
-            start = tokens[1]
+            start, start_line = tokens[1], lineno
         elif kind == "HALT" and len(tokens) == 2:
             halts.add(tokens[1])
         elif kind == "DECISION" and len(tokens) == 2:
@@ -537,9 +665,13 @@ def parse_dtm(text: str) -> DtmSpec:
             delta[key] = (tokens[4], int(tokens[5]), tokens[6])
         else:
             raise DtmFormatError(lineno, f"unknown statement {kind!r}")
+    # what is wrong with the whole spec is reported at its last line
+    last = max(1, len(text.splitlines()))
     if start is None:
-        raise DtmFormatError(0, "missing START")
+        raise DtmFormatError(last, "missing START")
+    if start not in states:
+        raise DtmFormatError(start_line, f"start state {start!r} not declared")
     try:
         return DtmSpec(tuple(states), start, frozenset(halts), delta, decision)
     except DtmError as exc:
-        raise DtmFormatError(0, str(exc)) from None
+        raise DtmFormatError(last, str(exc)) from None

@@ -45,6 +45,20 @@ def test_cycle_detected():
         nl.validate()
 
 
+def test_validate_builds_the_driver_map_once(monkeypatch):
+    nl = random_netlist(random.Random(4))
+    calls = []
+    original = gl.Netlist.driver_map
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(gl.Netlist, "driver_map", counted)
+    assert nl.validate() == nl.topo_gates()
+    assert len(calls) == 2  # one for validate, one for topo_gates
+
+
 def test_evaluate_and_truth_table():
     nl = gl.parse_netlist(
         "INPUT a\nINPUT b\nOUTPUT y\nGATE NOT b -> nb\nGATE AND a nb -> y\n"

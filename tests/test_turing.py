@@ -1,7 +1,7 @@
 import pytest
 
 import groundlogic as gl
-from util import FLIPPER, TWO_STATE, WRITE1_HALT
+from util import FLIPPER, THREE_STATE, TWO_STATE, WRITE1_HALT, flat_lattice, sfsc_cell
 
 
 def test_dtm_validation():
@@ -100,9 +100,9 @@ def test_sfsc_netlist_matches_truth_map(dtm):
 @pytest.mark.parametrize("policy", ["penalty", "edc-symmetrized"])
 def test_sfsc_gadget_edc_and_extension(policy):
     f = gl.build_sfsc_function(FLIPPER)
-    block = gl.build_sfsc_gadget(f, policy=policy)
-    assert block.m_elements == block.network.elements.total
-    g = gl.sfsc_block_gadget(block)
+    net, g = sfsc_cell(f, policy=policy)
+    # the lattice stamps exactly this cell: M is its element count
+    assert gl.build_lattice(FLIPPER, 2, 1, policy=policy).complexity.m_per_sfsc == net.elements.total
     rep = gl.check_edc(g)
     assert rep.is_edc
     # forced extension reproduces the truth map on every port
@@ -113,17 +113,68 @@ def test_sfsc_gadget_edc_and_extension(policy):
         w, od, ou = f.value(a[g.inputs[0]],
                             sum(a[g.inputs[1 + b]] << b for b in range(s)),
                             sum(a[g.inputs[1 + s + b]] << b for b in range(s)))
-        assert full[block.port("w")] == w
-        assert sum(full[block.port(f"od{b}")] << b for b in range(s)) == od
-        assert sum(full[block.port(f"ou{b}")] << b for b in range(s)) == ou
+        assert full[net.port_map["w"]] == w
+        assert sum(full[net.port_map[f"od{b}"]] << b for b in range(s)) == od
+        assert sum(full[net.port_map[f"ou{b}"]] << b for b in range(s)) == ou
 
 
 def test_sfsc_gadget_width_limit():
     states = tuple(f"s{i}" for i in range(8))  # needs a 4-bit bus
     delta = {(q, b): (states[0], b, "U") for q in states for b in (0, 1)}
     dtm = gl.DtmSpec(states, states[0], frozenset(), delta)
-    with pytest.raises(gl.DtmError):
-        gl.build_sfsc_gadget(gl.build_sfsc_function(dtm))
+    with pytest.raises(gl.DtmError, match="desk-scale"):
+        gl.build_lattice(dtm, 2, 1)
+
+
+def _lattice_record(lat):
+    net = lat.network
+    return {
+        "dump": gl.format_model(net.model),
+        "counts": repr(net.elements.counts),
+        "forcings": repr(net.plan),
+        "port_map": list(net.port_map.items()),
+        "clamps": list(net.model.clamps.items()),
+        "plan": lat.plan,
+        "complexity": lat.complexity,
+        "inputs": net.inputs,
+        "outputs": net.outputs,
+        "solve": (net.penalty_floor, net.base_ground, net.edc),
+    }
+
+
+def _differential_cases():
+    machines = {"flipper": FLIPPER, "two-state": TWO_STATE, "write1-halt": WRITE1_HALT,
+                "three-state": THREE_STATE}
+    for name, dtm in machines.items():
+        for policy, top in (("penalty", 4), ("edc-symmetrized", 3)):
+            for p in range(1, top + 1):
+                for head in range(1, p + 1):
+                    for tape in (None, tuple((j + head) % 2 for j in range(p))):
+                        yield pytest.param(dtm, p, head, tape, policy,
+                                           id=f"{name}-{policy}-p{p}-h{head}-{'free' if tape is None else 'clamped'}")
+
+
+@pytest.mark.parametrize("dtm,p,head,tape,policy", _differential_cases())
+def test_stamped_lattice_matches_flat_reference(dtm, p, head, tape, policy):
+    stamped = gl.build_lattice(dtm, p, head, tape_in=tape, policy=policy)
+    flat = flat_lattice(dtm, p, head, tape_in=tape, policy=policy)
+    assert _lattice_record(stamped) == _lattice_record(flat)
+
+
+def test_stamped_lattice_matches_flat_reference_with_function_override():
+    f = gl.build_sfsc_function(THREE_STATE)
+    bad = f.with_entry(1, THREE_STATE.code("a"), 0, (1, 0, THREE_STATE.code("b")))
+    for policy in ("penalty", "edc-symmetrized"):
+        stamped = gl.build_lattice(THREE_STATE, 3, 2, policy=policy, function=bad)
+        flat = flat_lattice(THREE_STATE, 3, 2, policy=policy, function=bad)
+        assert _lattice_record(stamped) == _lattice_record(flat)
+    assert not gl.verify_ground_histories(gl.build_lattice(THREE_STATE, 3, 2, function=bad))
+
+
+def test_three_state_machine_lattice():
+    assert THREE_STATE.bus_width == 2
+    for head in (1, 2, 3):
+        assert gl.verify_ground_histories(gl.build_lattice(THREE_STATE, 3, head))
 
 
 def test_lattice_clamped_tape_unique_history():

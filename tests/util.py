@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import groundlogic as gl
@@ -66,3 +67,135 @@ WRITE1_HALT = gl.DtmSpec(
     ("go", "stop"), "go", frozenset({"stop"}),
     {("go", 0): ("stop", 1, "U"), ("go", 1): ("stop", 1, "U")},
 )
+
+THREE_STATE = gl.DtmSpec(
+    ("a", "b", "h"), "a", frozenset({"h"}),
+    {
+        ("a", 0): ("b", 1, "U"),
+        ("a", 1): ("a", 0, "D"),
+        ("b", 0): ("h", 1, "D"),
+        ("b", 1): ("a", 1, "U"),
+    },
+)
+
+
+def flat_lattice(dtm, p, head_start, tape_in=None, policy="penalty", penalty=1, function=None):
+    """Reference lattice: p x p renamed copies of the cell-control netlist
+    flattened into one netlist and compiled gate by gate by `compile_netlist`.
+
+    `gl.build_lattice` stamps one compiled cell instead and must agree with
+    this byte for byte.
+    """
+    if not 1 <= head_start <= p:
+        raise gl.DtmError(f"head start {head_start} outside 1..{p}")
+    if tape_in is not None:
+        tape_in = tuple(b & 1 for b in tape_in)
+        if len(tape_in) != p:
+            raise gl.DtmError(f"tape length {len(tape_in)} != p = {p}")
+    f = function if function is not None else gl.build_sfsc_function(dtm)
+    s = f.bus_width
+    sub = gl.build_sfsc_netlist(f)
+
+    def reg(i, j):
+        return f"t{i}_{j}"
+
+    big = gl.Netlist()
+    clamp_bits = {}
+    inbus_down = {}
+    inbus_up = {}
+
+    def boundary(name, bits):
+        big.inputs.append(name)
+        clamp_bits[name] = bits
+        return name
+
+    for i in range(1, p + 2):
+        for j in range(1, p + 1):
+            if i == 1:
+                big.inputs.append(reg(i, j))
+            elif i == p + 1:
+                big.outputs.append(reg(i, j))
+
+    start_code = dtm.code(dtm.start)
+    for i in range(1, p + 1):
+        for j in range(1, p + 1):
+            down_nets = []
+            up_nets = []
+            for b in range(s):
+                if i >= 2 and j + 1 <= p:
+                    down_nets.append(f"od{i - 1}_{j + 1}_{b}")
+                else:
+                    down_nets.append(boundary(f"bid{i}_{j}_{b}", 0))
+                if i >= 2 and j - 1 >= 1:
+                    up_nets.append(f"ou{i - 1}_{j - 1}_{b}")
+                else:
+                    injected = (start_code >> b) & 1 if (i, j) == (1, head_start) else 0
+                    up_nets.append(boundary(f"biu{i}_{j}_{b}", injected))
+            inbus_down[(i, j)] = tuple(down_nets)
+            inbus_up[(i, j)] = tuple(up_nets)
+
+            rename = {"r": reg(i, j), "w": reg(i + 1, j)}
+            for b in range(s):
+                rename[f"id{b}"] = down_nets[b]
+                rename[f"iu{b}"] = up_nets[b]
+                rename[f"od{b}"] = f"od{i}_{j}_{b}"
+                rename[f"ou{b}"] = f"ou{i}_{j}_{b}"
+
+            def net_of(name):
+                return rename.get(name) or f"s{i}_{j}.{name}"
+
+            for g in sub.gates:
+                big.gates.append(
+                    gl.Gate(g.kind, tuple(net_of(n) for n in g.inputs), net_of(g.output), g.func)
+                )
+
+    network = gl.compile_netlist(big, policy=policy, penalty=penalty)
+    bindings = dict(clamp_bits)
+    if tape_in is not None:
+        for j in range(1, p + 1):
+            bindings[reg(1, j)] = tape_in[j - 1]
+    network = gl.clamp_inputs(network, bindings)
+
+    registers = (p + 1) * p
+    gate_total = network.elements.total
+    assert gate_total % (p * p) == 0
+    m = gate_total // (p * p)
+    network = replace(network, elements=network.elements.merged({"register": registers}))
+    total = gate_total + registers
+    bound = (m + 1) * p * p
+    complexity = gl.SqdtmComplexity(
+        m_per_sfsc=m, p=p, sfsc_elements=gate_total, registers=registers, total=total,
+        bound=bound, bound_plus_p=bound + p, within_bound=total <= bound + p,
+    )
+    plan = gl.LatticePlan(
+        p=p,
+        bus_width=s,
+        head_start=head_start,
+        register_var={
+            (i, j): network.port_map[reg(i, j)] for i in range(1, p + 2) for j in range(1, p + 1)
+        },
+        inbus_down={k: tuple(network.port_map[n] for n in v) for k, v in inbus_down.items()},
+        inbus_up={k: tuple(network.port_map[n] for n in v) for k, v in inbus_up.items()},
+    )
+    return gl.Lattice(dtm, p, head_start, tape_in, f, network, plan, complexity)
+
+
+def sfsc_cell(f, policy="edc-symmetrized", penalty=1):
+    """One cell control compiled on its own, and viewed as a single gadget
+    whose designated output is W (bus outputs and internals are ancillae)."""
+    net = gl.compile_netlist(gl.build_sfsc_netlist(f), policy=policy, penalty=penalty)
+    inputs = tuple(net.port_map[n] for n in gl.turing.sfsc_input_nets(f.bus_width))
+    output = net.port_map["w"]
+    gadget = gl.Gadget(
+        name="sfsc",
+        inputs=inputs,
+        output=output,
+        ancillae=tuple(v.id for v in net.model.variables if v.id not in inputs and v.id != output),
+        fragment=net.model,
+        forcings=net.plan,
+        counts=dict(net.elements.counts),
+        penalty_floor=net.penalty_floor,
+        ground_table=tuple(net.base_ground for _ in range(1 << len(inputs))),
+        exact_extension=net.edc,
+    )
+    return net, gadget
