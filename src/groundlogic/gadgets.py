@@ -32,7 +32,6 @@ from .model import (
     as_energy,
     format_model,
     parse_statements,
-    total_energy,
     _renamed_terms,
     _scan,
 )
@@ -118,26 +117,30 @@ def _input_pattern(x: int, n: int) -> tuple[int, ...]:
     return tuple((x >> j) & 1 for j in range(n))
 
 
-def _scan_minima(g: Gadget, fn: TruthFunction | None = None, cap: int = SCAN_CAP):
-    """Exhaustive per-input minimization over the gadget's internal variables.
+def _scan_minima(g: Gadget, fn: TruthFunction | None = None, cap: int = SCAN_CAP, plan=()):
+    """Exhaustive per-input minimization over the gadget's internal variables,
+    or over the extensions by `plan` when it forces all of them.
 
     Returns, per input pattern, (ground energy, ground energy among
     wrong-output configurations) -- the second entry only when `fn` is given.
     """
-    denom, row, _, blocks = _scan(g.fragment, (), cap)
+    denom, _, blocks = _scan(g.fragment, plan, cap)
     want = np.array(fn.outputs, dtype=np.uint8) if fn is not None else None
+    ports = g.inputs + (g.output,)
     best = wrong = None
-    for vals, _, energy in blocks:
-        x = np.zeros(vals.shape[1], dtype=np.intp)
-        for j, v in enumerate(g.inputs):
-            x |= vals[row[v]].astype(np.intp) << j
+    # gadget fragments carry no clamps, so every state is alive
+    for bits, _, energy in blocks:
+        state = bits(ports, slice(None))
+        x = np.zeros(len(energy), dtype=np.intp)
+        for j in range(g.arity):
+            x |= state[j].astype(np.intp) << j
         if best is None:
             top = np.iinfo(np.int64).max if energy.dtype == np.int64 else math.inf
             best = np.full(1 << g.arity, top, dtype=energy.dtype)
             wrong = best.copy()
         np.minimum.at(best, x, energy)
         if want is not None:
-            bad = vals[row[g.output]] != want[x]
+            bad = state[-1] != want[x]
             np.minimum.at(wrong, x[bad], energy[bad])
     return [
         (Fraction(int(e), denom), Fraction(int(w), denom) if want is not None else None)
@@ -145,42 +148,22 @@ def _scan_minima(g: Gadget, fn: TruthFunction | None = None, cap: int = SCAN_CAP
     ]
 
 
-def extend_by_forcings(inputs_assignment: dict[int, int], forcings) -> dict[int, int]:
-    """Apply forcing rules in order, returning the extended assignment."""
-    a = dict(inputs_assignment)
-    for var, args, table in forcings:
-        idx = 0
-        for j, arg in enumerate(args):
-            idx |= (a[arg] & 1) << j
-        a[var] = table[idx]
-    return a
-
-
-def _witness_grounds(g: Gadget) -> list[Fraction]:
-    if not g.forcings_complete() or not g.exact_extension:
-        raise CapacityError(
-            f"gadget {g.name!r} is too large for exhaustive scanning and has no "
-            "exact extension plan"
-        )
-    out = []
-    for x in range(1 << g.arity):
-        a = extend_by_forcings(
-            {v: (x >> j) & 1 for j, v in enumerate(g.inputs)}, g.forcings
-        )
-        out.append(total_energy(g.fragment, a))
-    return out
-
-
 def per_input_grounds(g: Gadget, cap: int = SCAN_CAP) -> list[Fraction]:
     """Ground energy for each input pattern, minimized over output+ancillae.
 
-    Uses the exhaustive scan whenever it fits the cap; otherwise falls back
-    to the gadget's guaranteed-exact extension plan.
+    Uses the exhaustive scan whenever it fits the cap; otherwise scores the
+    extension by the gadget's guaranteed-exact plan, whose roots are then
+    exactly the inputs.
     """
     try:
         return [e for e, _ in _scan_minima(g, cap=cap)]
     except CapacityError:
-        return _witness_grounds(g)
+        if not g.forcings_complete() or not g.exact_extension:
+            raise CapacityError(
+                f"gadget {g.name!r} is too large for exhaustive scanning and has no "
+                "exact extension plan"
+            ) from None
+    return [e for e, _ in _scan_minima(g, cap=cap, plan=g.forcings)]
 
 
 def check_edc(g: Gadget, cap: int = SCAN_CAP) -> EdcReport:

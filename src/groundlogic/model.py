@@ -26,14 +26,22 @@ TERM line names it.
 
 Every exact solver (`enumerate_ground_states`, `spectrum`, the gadget
 scans, `Network.ground_states`) reduces one levelized, bit-parallel scan,
-`_scan`.  A uint8 value matrix holds one row per variable and one column per
-mask of the roots, the free variables no forcing assigns.  The forcings are
-stacked by topological level and arity, so each stack costs one gather from
-its tables, and the terms, stacked by arity, each add one gather-and-sum to
-the energy vector.  Energies are integerized over a common denominator and
-summed in int64 when the largest possible sum stays below 2**62, as Python
-ints otherwise.  Masks are scanned in blocks bounded by `_BLOCK_BYTES`; each
-solver carries its running result from block to block.
+`_scan`, over the masks of the roots, the free variables no forcing
+assigns.  Masks are scanned in aligned blocks of 2**b, b sized from
+`_BLOCK_BYTES`: the low b roots vary within a block, the high roots are
+fixed by its number, and each solver carries its running result from block
+to block.  A term whose variables are all roots or clamped is blind: with
+its clamps folded out, its table is an array with one axis per root, added
+by broadcasting over the block's (2,)*b energy array after slicing it at
+the block's high roots.  Without a plan every term is blind and no value
+matrix is built; the solvers take the state bits they need from the masks.
+A term that touches a forced variable is gathered: a uint8 value matrix
+holds one row per variable and one column per mask, the forcings are
+stacked by topological level and arity, so each stack costs one gather
+from its tables, and the gathered terms, stacked by arity, each add one
+gather-and-sum to the energy vector.  Energies are integerized over a
+common denominator and summed in int64 when the largest possible sum stays
+below 2**62, as Python ints otherwise.
 
 Compiled networks repeat a few gadget tables on thousands of terms, and
 terms built from one table share its tuple: the parser reuses the table of
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 import numpy as np
@@ -212,15 +221,32 @@ class EnergyModel:
         declared = set(ids)
         if len(ids) != len(declared):
             raise ModelError("duplicate variable ids")
-        for t in self.terms:
+        self._check_terms(self.terms, declared)
+        self._check_clamps(self.clamps, declared)
+
+    @staticmethod
+    def _check_terms(terms, declared):
+        for t in terms:
             undecl = set(t.vars) - declared
             if undecl:
                 raise ModelError(f"term references undeclared variables {sorted(undecl)}")
-        for v, b in self.clamps.items():
+
+    @staticmethod
+    def _check_clamps(clamps, declared):
+        for v, b in clamps.items():
             if v not in declared:
                 raise ModelError(f"clamp on undeclared variable {v}")
             if b not in (0, 1):
                 raise ModelError(f"clamp value must be 0 or 1, got {b}")
+
+    def _copy(self, terms, clamps) -> "EnergyModel":
+        """A model over the same variables, skipping `__post_init__`: the
+        caller has checked whatever it changed."""
+        copy = object.__new__(EnergyModel)
+        object.__setattr__(copy, "variables", self.variables)
+        object.__setattr__(copy, "terms", terms)
+        object.__setattr__(copy, "clamps", clamps)
+        return copy
 
     @property
     def var_ids(self) -> tuple[int, ...]:
@@ -237,15 +263,21 @@ class EnergyModel:
         raise ModelError(f"unknown variable {var_id}")
 
     def with_terms(self, extra) -> "EnergyModel":
-        return EnergyModel(self.variables, self.terms + tuple(extra), self.clamps)
+        """A copy with `extra` terms appended; only those are checked."""
+        extra = tuple(extra)
+        self._check_terms(extra, {v.id for v in self.variables})
+        return self._copy(self.terms + extra, dict(self.clamps))
 
     def with_clamps(self, extra: dict[int, int]) -> "EnergyModel":
+        """A copy with `extra` clamps (masked to a bit) merged in; only those
+        are checked."""
+        clamps = {v: b & 1 for v, b in extra.items()}
+        self._check_clamps(clamps, {v.id for v in self.variables})
         merged = dict(self.clamps)
-        for v, b in extra.items():
-            if v in merged and merged[v] != (b & 1):
+        for v, b in clamps.items():
+            if merged.setdefault(v, b) != b:
                 raise ModelError(f"conflicting clamp on variable {v}")
-            merged[v] = b & 1
-        return EnergyModel(self.variables, self.terms, merged)
+        return self._copy(self.terms, merged)
 
 
 @dataclass(frozen=True)
@@ -318,10 +350,13 @@ def _scan(model: EnergyModel, plan, cap: int):
     """Score every root mask, extending it by `plan`'s forcings (var, args,
     table), given in topological order.
 
-    Returns (denom, row, roots, blocks).  `row` maps a variable id to its
-    row of the value matrices; `blocks` yields (value matrix, alive,
-    integer energies over denom) per block with at least one alive column.
-    `alive` is False where a forced value contradicts a clamp.
+    Returns (denom, roots, blocks); root i is bit i of a mask.  `blocks`
+    yields (bits, alive, energy) per block with at least one alive mask:
+    `energy` holds the integer energies over denom of the block's masks in
+    increasing order, `alive` is False where a forced value contradicts a
+    clamp, and `bits(vars, cols)` gives the listed variables' values (one
+    uint8 row each; every variable in id order when vars is None) at the
+    block columns `cols`, a boolean mask or a slice.
     """
     forced = {f.var for f in plan}
     roots = [v for v in model.free_vars if v not in forced]
@@ -333,39 +368,93 @@ def _scan(model: EnergyModel, plan, cap: int):
     clamps = model.clamps
     row = {v: i for i, v in enumerate(model.var_ids)}
     forcings = _forcing_groups(plan, roots, clamps, row)
-    denom, energy_dtype, terms = _term_groups(model.terms, row)
-
-    n_vars = len(row)
-    widest = max([3 * len(g[1]) for g in forcings] + [0])
-    widest = max([(2 + energy_dtype.itemsize) * len(g[1]) for g in terms] + [widest])
-    block = max(1, _BLOCK_BYTES // (n_vars + 16 * len(roots) + widest + 32))
+    denom, energy_dtype, groups = _term_groups(model.terms, row)
     root_rows = [row[v] for v in roots]
-    shifts = np.arange(len(roots), dtype=np.int64)[:, None]
     clamp_rows = [row[v] for v in clamps]
+    gathered, blind = _blind_terms(groups, len(row), root_rows, clamp_rows, list(clamps.values()))
+
+    # Blocks are aligned runs of 2**b masks: the low b roots vary within a
+    # block and the high roots are fixed by its number.  A scan with
+    # forcings keeps a value matrix per block; a blind scan only an energy
+    # vector and its consumers' temporaries.
+    per_mask = 32 + 2 * energy_dtype.itemsize
+    if forcings:
+        widest = max([3 * len(g[1]) for g in forcings] + [0])
+        widest = max([(2 + energy_dtype.itemsize) * len(g[1]) for g in gathered] + [widest])
+        per_mask = len(row) + 16 * len(roots) + widest + 32
+    b = min(len(roots), max(1, _BLOCK_BYTES // per_mask).bit_length() - 1)
+    size = 1 << b
+    addends = [_block_addend(key, table, b) for key, table in blind.items()]
+    shifts = np.arange(len(roots), dtype=np.int64)[:, None]
     clamp_vals = np.array(list(clamps.values()), dtype=np.uint8)[:, None]
-    total = 1 << len(roots)
+    root_bit = {v: i for i, v in enumerate(roots)}
 
     def blocks():
-        for start in range(0, total, block):
-            masks = np.arange(start, min(start + block, total), dtype=np.int64)
-            vals = np.empty((n_vars, len(masks)), dtype=np.uint8)
-            vals[clamp_rows] = clamp_vals
-            vals[root_rows] = (masks >> shifts) & 1
-            alive = np.ones(len(masks), dtype=bool)
-            for arg_cols, tables, out_rows, clamp_col in forcings:
-                got = _gather(tables, vals, arg_cols)
-                if clamp_col is None:
-                    vals[out_rows] = got
-                else:
-                    alive &= (got == clamp_col).all(axis=0)
-            if not alive.any():
-                continue
-            energy = np.zeros(len(masks), dtype=energy_dtype)
-            for arg_cols, tables in terms:
+        for number in range(1 << (len(roots) - b)):
+            start = number << b
+            alive = np.ones(size, dtype=bool)
+            if forcings:
+                masks = np.arange(start, start + size, dtype=np.int64)
+                vals = np.empty((len(row), size), dtype=np.uint8)
+                vals[clamp_rows] = clamp_vals
+                vals[root_rows] = (masks >> shifts) & 1
+                for arg_cols, tables, out_rows, clamp_col in forcings:
+                    got = _gather(tables, vals, arg_cols)
+                    if clamp_col is None:
+                        vals[out_rows] = got
+                    else:
+                        alive &= (got == clamp_col).all(axis=0)
+                if not alive.any():
+                    continue
+                bits = partial(_matrix_bits, vals, row)
+            else:
+                bits = partial(_mask_bits, start, size, root_bit, clamps, row)
+            energy = np.zeros((2,) * b, dtype=energy_dtype)
+            for tables, high in addends:
+                hi = 0
+                for shift in high:
+                    hi = hi << 1 | (number >> shift) & 1
+                energy += tables[hi]
+            energy = energy.reshape(-1)
+            for arg_cols, tables in gathered:
                 energy += _gather(tables, vals, arg_cols).sum(axis=0)
-            yield vals, alive, energy
+            yield bits, alive, energy
 
-    return denom, row, roots, blocks()
+    return denom, roots, blocks()
+
+
+def _block_addend(key, table, b):
+    """A blind table over the roots `key` (highest first), prepared for
+    blocks of 2**b masks as (slices, shifts).
+
+    `slices[hi]` is the table with its high roots (those at or above b, its
+    leading axes) fixed to the bits of hi, most significant first, and
+    shaped to broadcast over a block's (2,)*b energy array, whose axis
+    b-1-r is root r.  A block's number holds root r >= b at bit r - b;
+    `shifts` lists those bits in key order.
+    """
+    high = [r - b for r in key if r >= b]
+    shape = [1] * b
+    for r in key[len(high):]:
+        shape[b - 1 - r] = 2
+    return table.reshape((1 << len(high), *shape)), high
+
+
+def _matrix_bits(vals, row, vars_, cols):
+    """`bits` of a block with a value matrix: the listed variables' rows."""
+    picked = vals[:, cols]
+    return picked if vars_ is None else picked[[row[v] for v in vars_]]
+
+
+def _mask_bits(start, size, root_bit, clamps, row, vars_, cols):
+    """`bits` of a blind block: root bits read from the masks, clamps
+    repeated."""
+    vars_ = list(row) if vars_ is None else vars_
+    masks = np.arange(start, start + size, dtype=np.int64)[cols]
+    out = np.empty((len(vars_), len(masks)), dtype=np.uint8)
+    for i, v in enumerate(vars_):
+        out[i] = clamps[v] if v in clamps else (masks >> root_bit[v]) & 1
+    return out
 
 
 def _gather(tables, vals, arg_cols):
@@ -443,6 +532,58 @@ def _term_groups(terms, row):
     return denom, dtype, groups
 
 
+def _blind_terms(groups, n_rows, root_rows, clamp_rows, clamp_bits):
+    """Split the stacked terms of `_term_groups`: (gathered, blind).
+
+    A term whose variables are all roots or clamped is blind: it becomes an
+    array over its roots (`_root_table`), and the blind terms over one set
+    of roots are summed into one array, keyed by those roots in descending
+    order.  The other terms stay stacked by arity for `_gather`.  The test
+    is one vectorized pass per arity, so a scan whose every term touches a
+    forced variable pays no Python work per term.
+    """
+    # per value-matrix row: the root's index, or the clamped bit, else -1
+    root_at = np.full(n_rows, -1, dtype=np.intp)
+    root_at[root_rows] = np.arange(len(root_rows))
+    clamp_at = np.full(n_rows, -1, dtype=np.intp)
+    clamp_at[clamp_rows] = clamp_bits
+    blind_row = (root_at >= 0) | (clamp_at >= 0)
+    gathered = []
+    blind: dict[tuple, np.ndarray] = {}
+    for arg_cols, tables in groups:
+        is_blind = blind_row[arg_cols[0]]
+        for c in arg_cols[1:]:
+            is_blind = is_blind & blind_row[c]
+        if is_blind.any():
+            picked = np.flatnonzero(is_blind)
+            cols = np.array([c[picked] for c in arg_cols]).T
+            for table, roots, bits in zip(
+                tables[picked], root_at[cols].tolist(), clamp_at[cols].tolist()
+            ):
+                key, table = _root_table(table, roots, bits)
+                if key in blind:
+                    blind[key] += table
+                else:
+                    blind[key] = table.copy()
+            arg_cols, tables = [c[~is_blind] for c in arg_cols], tables[~is_blind]
+        if len(tables):
+            gathered.append((arg_cols, tables))
+    return gathered, blind
+
+
+def _root_table(table, roots, bits):
+    """A blind term's table with its clamped arguments folded out, as
+    (roots in descending order, array with one axis per root in that
+    order).  Argument j is root roots[j], or clamped to bits[j] >= 0."""
+    # reshaped to (2,)*k, the table's axis a holds argument k-1-a
+    t = table.reshape((2,) * len(roots))
+    if max(bits) >= 0:
+        t = t[tuple(slice(None) if b < 0 else b for b in reversed(bits)) + (...,)]
+    free = [r for r in reversed(roots) if r >= 0]
+    order = sorted(range(len(free)), key=free.__getitem__, reverse=True)
+    return tuple(free[a] for a in order), t.transpose(order)
+
+
 def _arg_cols(arg_lists, row):
     """Per argument position, the value-matrix rows of every stacked table."""
     return [
@@ -459,15 +600,15 @@ def _ground_set(model: EnergyModel, plan, cap: int):
     lists the clamps, then the roots, then the forced variables in plan
     order.
     """
-    denom, row, roots, blocks = _scan(model, plan, cap)
+    denom, roots, blocks = _scan(model, plan, cap)
     best = None
     found = []
-    for vals, alive, energy in blocks:
+    for bits, alive, energy in blocks:
         low = int(energy[alive].min())
         if best is None or low < best:
             best, found = low, []
         if low == best:
-            found.append(vals[:, alive & (energy == best)])
+            found.append(bits(None, alive & (energy == best)))
     if best is None:
         return None
     states = np.concatenate(found, axis=1)
@@ -480,6 +621,7 @@ def _ground_set(model: EnergyModel, plan, cap: int):
         states = states[:, order]
     clamps = model.clamps
     keys = list(clamps) + roots + [f.var for f in plan if f.var not in clamps]
+    row = {v: i for i, v in enumerate(model.var_ids)}
     # one state at a time: a nested list of every state would outgrow the dicts
     per_state = states[[row[v] for v in keys]].T.copy()
     return Fraction(best, denom), [dict(zip(keys, s.tolist())) for s in per_state]
@@ -499,7 +641,7 @@ def enumerate_ground_states(
 
 def spectrum(model: EnergyModel, cap: int = DEFAULT_CAP) -> SpectrumReport:
     """Ground energy, exact degeneracy, and the first excited level if any."""
-    denom, _, _, blocks = _scan(model, (), cap)
+    denom, _, blocks = _scan(model, (), cap)
     e0 = e1 = None
     count0 = 0
     # without a plan every state is alive

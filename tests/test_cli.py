@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 import groundlogic as gl
 from groundlogic.cli import main
 from util import random_cnf
@@ -187,6 +189,19 @@ def test_usage_errors(tmp_path, capsys):
     code, _, stderr = run(capsys, "solve", str(tmp_path / "missing.dump"))
     assert code == 1
     assert "cannot read" in stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["compile"], ["dtm", "--p", "2"], ["solve"], ["check-edc"],
+])
+def test_non_utf8_input_is_a_usage_error(tmp_path, capsys, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfeVAR 0 wire\n")
+    code, _, stderr = run(capsys, command[0], str(path), *command[1:])
+    assert code == 1
+    lines = stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: cannot read {path}: ")
 
 
 def test_compile_with_dedlu_flag(tmp_path, capsys):

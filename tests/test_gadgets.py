@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
+
+from unittest import mock
 
 import pytest
 
@@ -257,6 +260,61 @@ def test_checks_on_parsed_gadget_with_ports_not_inputs_first(which):
     gap = min(wrong - e for e, wrong in reference)
     assert gl.check_implements(parsed, fn) == gl.ImplementsReport(gap > 0, gap)
     assert gl.check_implements(g, fn) == gl.ImplementsReport(gap > 0, gap)
+
+
+def _random_gadget(rng, n_inputs=3, n_ancillae=3):
+    """A gadget over random 1- to 3-local rational terms, with its port ids
+    shuffled so that inputs sit among the low and the high roots."""
+    n = n_inputs + 1 + n_ancillae
+    ids = list(range(n))
+    rng.shuffle(ids)
+    terms = []
+    for _ in range(2 * n):
+        vars_ = tuple(rng.sample(range(n), rng.randint(1, 3)))
+        table = tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(1 << len(vars_)))
+        terms.append(gl.EnergyTerm(vars_, table))
+    fragment = gl.EnergyModel(tuple(gl.Variable(i) for i in range(n)), tuple(terms))
+    return gl.Gadget("random", tuple(ids[:n_inputs]), ids[n_inputs], tuple(ids[n_inputs + 1:]), fragment)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+def test_gadget_scans_across_blocks(seed):
+    rng = random.Random(seed)
+    g = _random_gadget(rng)
+    fn = gl.TruthFunction(3, tuple(rng.randint(0, 1) for _ in range(8)))
+    reference = _scan_reference(g, fn)
+    grounds = [e for e, _ in reference]
+    gap = min(wrong - e for e, wrong in reference)
+    # one state per block, a few states per block (inputs among the roots
+    # fixed per block), and the default
+    for budget in (1, 5000, gl.model._BLOCK_BYTES):
+        with mock.patch.object(gl.model, "_BLOCK_BYTES", budget):
+            assert gl.per_input_grounds(g) == grounds
+            edc = gl.check_edc(g)
+            assert list(edc.per_input_ground.values()) == grounds
+            assert edc.is_edc == (len(set(grounds)) == 1)
+            assert gl.check_implements(g, fn) == gl.ImplementsReport(gap > 0, gap)
+
+
+@pytest.mark.parametrize("which", ["physical", "symmetrized"])
+def test_plan_fallback_across_blocks(which):
+    g = gl.make_physical_and(0, Fraction(1, 2), -1, 2, 5)
+    if which == "symmetrized":
+        g = gl.symmetrize(g)
+    grounds = [e for e, _ in _scan_reference(g, gl.AND2)]
+    for budget in (1, 5000, gl.model._BLOCK_BYTES):
+        with mock.patch.object(gl.model, "_BLOCK_BYTES", budget):
+            # a cap of one state per input pattern forces the plan fallback
+            assert gl.per_input_grounds(g, cap=1 << g.arity) == grounds
+            assert gl.check_edc(g, cap=1 << g.arity).is_edc == (which == "symmetrized")
+
+
+def test_plan_fallback_needs_an_exact_complete_plan():
+    g = gl.make_physical_and(0, Fraction(1, 2), -1, 2, 5)
+    parsed = gl.parse_gadget(gl.format_gadget(g))
+    for gadget in (parsed, dataclasses.replace(g, exact_extension=False)):
+        with pytest.raises(gl.CapacityError, match="has no exact extension plan"):
+            gl.per_input_grounds(gadget, cap=4)
 
 
 def test_parse_gadget_port_on_undeclared_variable():

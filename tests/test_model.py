@@ -55,6 +55,34 @@ def test_enumeration_capacity_error():
         gl.enumerate_ground_states(m, cap=8)
 
 
+def test_with_terms_and_with_clamps_match_a_rebuilt_model():
+    m = random_model(random.Random(5), n_vars=5, n_terms=4)
+    extra = (WIRE, gl.EnergyTerm((4,), (1, 0)))
+    assert m.with_terms(extra) == gl.EnergyModel(m.variables, m.terms + extra)
+    clamped = m.with_clamps({1: 0}).with_clamps({1: 0, 3: 3})
+    assert clamped == gl.EnergyModel(m.variables, m.terms, {1: 0, 3: 1})
+    assert m.clamps == {}
+
+
+def test_with_terms_checks_the_added_terms():
+    m = gl.EnergyModel((gl.Variable(0), gl.Variable(1)), (WIRE,))
+    with pytest.raises(gl.ModelError, match=r"undeclared variables \[2\]"):
+        m.with_terms([gl.EnergyTerm((1, 2), (0, 1, 1, 0))])
+
+
+def test_with_clamps_checks_the_merged_clamps():
+    m = gl.EnergyModel((gl.Variable(0), gl.Variable(1)), (WIRE,), {0: 1})
+    with pytest.raises(gl.ModelError, match="clamp on undeclared variable 5"):
+        m.with_clamps({5: 1})
+    with pytest.raises(gl.ModelError, match="conflicting clamp on variable 0"):
+        m.with_clamps({0: 0})
+    with pytest.raises(gl.ModelError, match="conflicting clamp on variable 1"):
+        m.with_clamps({1: 1}).with_clamps({1: 0})
+    # the constructor still checks every clamp's value
+    with pytest.raises(gl.ModelError, match="clamp value must be 0 or 1, got 2"):
+        gl.EnergyModel(m.variables, m.terms, {1: 2})
+
+
 def test_spectrum_wire():
     m = gl.EnergyModel((gl.Variable(0), gl.Variable(1)), (WIRE,))
     rep = gl.spectrum(m)
@@ -308,6 +336,28 @@ def test_shared_table_counts_once_per_term_in_overflow_bound():
     e0 = min(levels)
     assert gl.enumerate_ground_states(m) == (e0, levels[e0])
     assert gl.spectrum(m).first_excited_energy == 1 << 61
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_clamps_inside_terms_spanning_high_roots(seed):
+    # 10 variables, two clamped: 8 roots, of which a 5000-byte block keeps
+    # the low ones; every term mixes a clamp with low and high roots, and
+    # the same root set recurs so blind tables are summed
+    rng = random.Random(seed)
+    terms = []
+    for _ in range(12):
+        vars_ = (rng.choice((2, 7)), rng.choice((0, 1, 3)), rng.choice((6, 8, 9)))
+        table = tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(8))
+        terms.append(gl.EnergyTerm(vars_, table))
+    terms.append(gl.EnergyTerm((2, 7), tuple(Fraction(e) for e in (5, -1, 2, 3))))
+    m = gl.EnergyModel(tuple(gl.Variable(i) for i in range(10)), tuple(terms), {2: 1, 7: 0})
+    levels = _levels(m)
+    e0, e1 = sorted(levels)[:2]
+    states = sorted(levels[e0], key=lambda a: [a[v] for v in sorted(a)])
+    for budget in (1, 5000, gl.model._BLOCK_BYTES):
+        with mock.patch.object(gl.model, "_BLOCK_BYTES", budget):
+            assert repr(gl.enumerate_ground_states(m)) == repr((e0, states))
+            assert gl.spectrum(m) == gl.SpectrumReport(e0, len(states), e1, e1 - e0)
 
 
 # Spellings of a few values, several per value, so equal tables can be

@@ -1,7 +1,9 @@
 import pytest
 
 import groundlogic as gl
-from util import FLIPPER, THREE_STATE, TWO_STATE, WRITE1_HALT, flat_lattice, sfsc_cell
+from util import (
+    FLIPPER, THREE_STATE, TWO_STATE, WRITE1_HALT, extend_by_forcings, flat_lattice, sfsc_cell,
+)
 
 
 def test_dtm_validation():
@@ -109,7 +111,7 @@ def test_sfsc_gadget_edc_and_extension(policy):
     s = f.bus_width
     for x in range(1 << f.arity):
         a = {v: (x >> j) & 1 for j, v in enumerate(g.inputs)}
-        full = gl.gadgets.extend_by_forcings(a, g.forcings)
+        full = extend_by_forcings(a, g.forcings)
         w, od, ou = f.value(a[g.inputs[0]],
                             sum(a[g.inputs[1 + b]] << b for b in range(s)),
                             sum(a[g.inputs[1 + s + b]] << b for b in range(s)))

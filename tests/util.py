@@ -18,6 +18,17 @@ def random_model(rng: random.Random, n_vars=6, n_terms=5, max_arity=3) -> gl.Ene
     return gl.EnergyModel(variables, tuple(terms))
 
 
+def extend_by_forcings(inputs_assignment: dict[int, int], forcings) -> dict[int, int]:
+    """Oracle: apply forcing rules one at a time, in order, to a dict."""
+    a = dict(inputs_assignment)
+    for var, args, table in forcings:
+        idx = 0
+        for j, arg in enumerate(args):
+            idx |= (a[arg] & 1) << j
+        a[var] = table[idx]
+    return a
+
+
 def random_cnf(rng: random.Random, n: int, m: int, k: int = 3) -> gl.Cnf:
     clauses = []
     for _ in range(m):
