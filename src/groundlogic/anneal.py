@@ -12,19 +12,22 @@ deterministically by (energy, restart index).
 Energy bookkeeping stays exact (common-denominator integers); floats enter
 only through the acceptance probability.
 
-A proposal costs a few list lookups and no numpy call.  Each folded term's
-current table index is kept in a list; dE is one lookup per incident term,
-into a table of that term's flip deltas for the proposed bit, and an
-accepted flip XORs the bit into each incident term's index.  The random
-values are numpy's own: `_draws` reads the Philox generator's raw 64-bit
-words in blocks and reproduces, bit for bit, what `Generator.integers(n)`
-(Lemire's bounded draw on 32-bit halves) and `Generator.random()` would
-return, so trajectories do not depend on how the values are fetched.
+A proposal costs one lookup for dE.  The annealer keeps every folded
+term's current table index and every free variable's local field, the exact
+integer energy change of flipping it; only an accepted flip walks the terms
+touching the variable, XORing its bit into each term's index and moving
+every member's field by the difference of two entries of that member's flip
+table.  Acceptance probabilities are cached by dE within a sweep.  The
+random values are numpy's own: `_decode_block` turns a block of the Philox
+generator's raw 64-bit words into plain lists (Lemire's position from each
+low and each high 32-bit half, -1 where it rejects, and the uniform double),
+and the loop reads them with one word pointer and a kept high half, exactly
+as `Generator.integers(n)` and `Generator.random()` consume the words.  So
+trajectories do not depend on how the values are fetched.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -96,51 +99,55 @@ class AnnealResult:
     uphill_accepts: int = 0
 
 
-# Raw 64-bit words read from the bit generator per call: one bounded buffer,
-# whatever the number of free variables.
+# Raw 64-bit words decoded per block: one bounded buffer, whatever the
+# number of free variables.
 _RAW_BLOCK = 1024
 _UNIT = 2.0**-53
+_LOW = np.uint64(0xFFFFFFFF)
+_HALF = np.uint64(32)
+_MANTISSA_SHIFT = np.uint64(11)
 
 
-def _raw_words(bitgen):
-    while True:
-        yield from bitgen.random_raw(_RAW_BLOCK).tolist()
+def _positions(halves, n: int) -> list[int]:
+    """Lemire's draw below n from each 32-bit value in `halves` (uint64),
+    or -1 where it rejects the value."""
+    m = halves * np.uint64(n)
+    positions = (m >> _HALF).astype(np.int64)
+    positions[(m & _LOW) < np.uint64(((1 << 32) - n) % n)] = -1
+    return positions.tolist()
 
 
-def _below(words, n: int, half):
-    threshold = ((1 << 32) - n) % n
-    while True:
-        if half is None:
-            w = next(words)
-            x, half = w & 0xFFFFFFFF, w >> 32
-        else:
-            x, half = half, None
-        m = x * n
-        if m & 0xFFFFFFFF >= threshold:
-            yield m >> 32
-
-
-def _draws(rng: np.random.Generator, n: int):
-    """Iterators over the values `rng.integers(n)` and `rng.random()` would
-    return, in whatever order the caller draws from them.
+def _decode_block(bitgen, n: int):
+    """The next `_RAW_BLOCK` raw words of `bitgen`, decoded into the values
+    numpy would make of them: (positions below n from each word's low
+    32-bit half, the same from its high half, uniform doubles).
 
     numpy draws an integer below n <= 2**32 from 32-bit halves of the raw
     64-bit words, low half first with the high half kept for the next such
     draw, by Lemire's multiply-and-reject ("Fast random integer generation
-    in an interval", ACM TOMACS 2019); n == 1 draws nothing.  A uniform
-    double is the top 53 bits of a fresh word.  Both iterators read one
-    shared word stream, which starts from the half `rng` has kept from its
-    last 32-bit draw, in blocks of `_RAW_BLOCK` words; the words read ahead
-    are lost to `rng`, so it must not be drawn from afterwards.
+    in an interval", ACM TOMACS 2019); a rejected half reads -1 here and
+    the draw takes the next half; n == 1 draws nothing, so no position is
+    read then.  A uniform double is the top 53 bits of a fresh word and
+    leaves a kept half in place.  Words decoded ahead are lost to the
+    generator, so it must not be drawn from afterwards.
     """
     if n > 1 << 32:
         raise ModelError(f"cannot draw positions below {n} > 2**32")
-    bitgen = rng.bit_generator
+    words = bitgen.random_raw(_RAW_BLOCK)
+    return (
+        _positions(words & _LOW, n),
+        _positions(words >> _HALF, n),
+        ((words >> _MANTISSA_SHIFT) * _UNIT).tolist(),
+    )
+
+
+def _kept_position(bitgen, n: int) -> int | None:
+    """The position below n (or -1) from the 32-bit half `bitgen` kept from
+    its last 32-bit draw, or None when it kept none."""
     state = bitgen.state
-    words = _raw_words(bitgen)
-    half = state["uinteger"] if state["has_uint32"] else None
-    positions = itertools.repeat(0) if n == 1 else _below(words, n, half)
-    return positions, ((w >> 11) * _UNIT for w in words)
+    if not state["has_uint32"]:
+        return None
+    return _positions(np.array([state["uinteger"]], dtype=np.uint64), n)[0]
 
 
 def metropolis_anneal(
@@ -153,8 +160,8 @@ def metropolis_anneal(
 
     Deterministic given (model, schedule, seed).  `target` (usually a known
     exact ground energy) drives first-hit tracking and the success flag.
-    With `debug` the incrementally maintained term indices and energy are
-    checked against a full recomputation every 1000 proposals.
+    With `debug` the incrementally maintained term indices, local fields and
+    energy are checked against a full recomputation every 1000 proposals.
     """
     free, offset, folded = _folded(model)
     if not free:
@@ -166,20 +173,40 @@ def metropolis_anneal(
         # best-energy integers are exact; a non-integer target falls between levels
         target_int = math.floor(t)
     nfree = len(free)
-    # incident[p]: (term number, p's bit in that term's table index, the
-    # energy change of flipping that bit, by the term's current index)
-    incident: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in range(nfree)]
+    # members[k]: (p, the energy change of flipping p's bit of term k, by the
+    # term's current index) for every free variable p of term k;
+    # incident[p]: (term number, p's bit in that term's index, its members).
+    # Terms that share an integer table share its flip tables; `terms` keeps
+    # every table alive, so no id is reused during the call.
+    flip_tables: dict[tuple[int, int], tuple[int, ...]] = {}
+    members: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
+    incident: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nfree)]
     for k, (positions, table) in enumerate(terms):
+        flips = []
         for j, p in enumerate(positions):
             bit = 1 << j
-            flip = tuple(table[i ^ bit] - table[i] for i in range(len(table)))
-            incident[p].append((k, bit, flip))
+            flip = flip_tables.get((id(table), bit))
+            if flip is None:
+                flip = flip_tables[id(table), bit] = tuple(
+                    table[i ^ bit] - table[i] for i in range(len(table))
+                )
+            flips.append((p, flip))
+        members.append(tuple(flips))
+        for j, p in enumerate(positions):
+            incident[p].append((k, 1 << j, members[k]))
 
     def term_indices(state) -> list[int]:
         return [
             sum(state[p] << j for j, p in enumerate(positions))
             for positions, _ in terms
         ]
+
+    def fields_at(indices) -> list[int]:
+        field = [0] * nfree
+        for term, i in zip(members, indices):
+            for p, flip in term:
+                field[p] += flip[i]
+        return field
 
     def energy_at(indices) -> int:
         return off + sum(table[i] for (_, table), i in zip(terms, indices))
@@ -194,10 +221,13 @@ def metropolis_anneal(
     for child in streams:
         rng = np.random.Generator(np.random.Philox(child))
         state = [int(b) for b in rng.integers(0, 2, size=nfree)]
-        positions, uniforms = _draws(rng, nfree)
-        next_pos = positions.__next__
-        next_uniform = uniforms.__next__
+        bitgen = rng.bit_generator
+        kept = _kept_position(bitgen, nfree)
+        lows, highs, uniforms = _decode_block(bitgen, nfree)
+        word = 0
         index = term_indices(state)
+        # field[p]: the exact energy change of flipping p
+        field = fields_at(index)
         energy = energy_at(index)
         local_best = energy
         local_best_state = list(state)
@@ -205,35 +235,64 @@ def metropolis_anneal(
         proposals = 0
         for sweep in range(1, sched.sweeps + 1):
             temp = sched.temperature(sweep - 1)
+            # acceptance probability by dE at this sweep's temperature
+            accept_at: dict[int, float] = {}
             for _ in range(nfree):
-                pos = next_pos()
-                inc = incident[pos]
-                delta = 0
-                for k, _, flip in inc:
-                    delta += flip[index[k]]
+                if nfree == 1:
+                    # numpy draws nothing for a position below 1
+                    pos = 0
+                else:
+                    while True:
+                        if kept is None:
+                            if word == _RAW_BLOCK:
+                                lows, highs, uniforms = _decode_block(bitgen, nfree)
+                                word = 0
+                            pos = lows[word]
+                            kept = highs[word]
+                            word += 1
+                        else:
+                            pos = kept
+                            kept = None
+                        if pos >= 0:
+                            break
+                delta = field[pos]
                 if delta <= 0:
                     accept = True
                 else:
                     uphill_attempts += 1
-                    accept = next_uniform() < exp(-(delta / denom) / temp)
+                    if word == _RAW_BLOCK:
+                        lows, highs, uniforms = _decode_block(bitgen, nfree)
+                        word = 0
+                    uniform = uniforms[word]
+                    word += 1
+                    p = accept_at.get(delta)
+                    if p is None:
+                        p = accept_at[delta] = exp(-(delta / denom) / temp)
+                    accept = uniform < p
                     if accept:
                         uphill_accepts += 1
                 if accept:
                     state[pos] ^= 1
-                    for k, bit, _ in inc:
-                        index[k] ^= bit
+                    for k, bit, term in incident[pos]:
+                        i = index[k]
+                        j = index[k] = i ^ bit
+                        for q, flip in term:
+                            field[q] += flip[j] - flip[i]
                     energy += delta
                     if energy < local_best:
                         local_best = energy
                         local_best_state = list(state)
-                proposals += 1
-                if debug and proposals % 1000 == 0:
-                    recomputed = term_indices(state)
-                    if recomputed != index:
-                        raise ModelError("incremental term indices drifted")
-                    full = energy_at(recomputed)
-                    if full != energy:
-                        raise ModelError(f"incremental energy drifted: {energy} != {full}")
+                if debug:
+                    proposals += 1
+                    if proposals % 1000 == 0:
+                        recomputed = term_indices(state)
+                        if recomputed != index:
+                            raise ModelError("incremental term indices drifted")
+                        if fields_at(recomputed) != field:
+                            raise ModelError("incremental local fields drifted")
+                        full = energy_at(recomputed)
+                        if full != energy:
+                            raise ModelError(f"incremental energy drifted: {energy} != {full}")
             if (
                 target_int is not None
                 and first_hit is None

@@ -8,6 +8,7 @@ the effective seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -195,7 +196,10 @@ def cmd_check_edc(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: `parse_args` leaves
+    it unchanged, and building it costs several times a parse."""
     parser = _Parser(prog="groundlogic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

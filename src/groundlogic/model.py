@@ -312,8 +312,9 @@ def _folded(model: EnergyModel):
     folded = []
     for t in model.terms:
         sub, const = t.restrict(model.clamps)
-        offset += const
-        if sub is not None:
+        if sub is None:
+            offset += const
+        else:
             folded.append((tuple(pos[v] for v in sub.vars), sub.table))
     return free, offset, folded
 
@@ -710,11 +711,15 @@ def _parse_ref(token: str, lineno: int, declared: set[int]) -> int:
     return vid
 
 
-def _parse_energy(token: str, lineno: int) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise DumpFormatError(lineno, f"bad energy {token!r}") from None
+def _parse_energy(token: str, lineno: int, parsed: dict[str, Fraction]) -> Fraction:
+    """`token` as a Fraction; `parsed` keeps the tokens already converted."""
+    value = parsed.get(token)
+    if value is None:
+        try:
+            value = parsed[token] = Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            raise DumpFormatError(lineno, f"bad energy {token!r}") from None
+    return value
 
 
 def parse_statements(text: str, allow_ports: bool = False):
@@ -733,6 +738,8 @@ def parse_statements(text: str, allow_ports: bool = False):
     # energy tokens already parsed -> their table, shared by every term
     # line that repeats them
     tables: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
+    # energy token -> its value, so each distinct token is converted once
+    energies_parsed: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -772,7 +779,9 @@ def parse_statements(text: str, allow_ports: bool = False):
             energies = tuple(tokens[3 + k :])
             table = tables.get(energies)
             if table is None:
-                table = tables[energies] = tuple(_parse_energy(t, lineno) for t in energies)
+                table = tables[energies] = tuple(
+                    _parse_energy(t, lineno, energies_parsed) for t in energies
+                )
             try:
                 terms.append(EnergyTerm(vids, table))
             except ModelError as exc:

@@ -2,11 +2,14 @@ import hashlib
 import math
 import random
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import groundlogic as gl
-from util import random_cnf, random_model
+from util import random_cnf, random_model, reference_anneal
 
 GENEROUS = gl.AnnealSchedule(t_start=2.0, t_end=0.05, sweeps=150, restarts=4, seed=7)
 
@@ -186,24 +189,106 @@ def test_golden_anneal(name):
     assert hashlib.sha256(repr(result).encode()).hexdigest() == ANNEAL_GOLDEN[name]
 
 
+class _Walk:
+    """Reads `anneal._decode_block` the way `metropolis_anneal` does: one
+    word pointer into the decoded block and a kept 32-bit half."""
+
+    def __init__(self, rng, n):
+        self.bitgen, self.n = rng.bit_generator, n
+        self.kept = gl.anneal._kept_position(self.bitgen, n)
+        self.block = gl.anneal._decode_block(self.bitgen, n)
+        self.word = 0
+
+    def _next_word(self):
+        if self.word == gl.anneal._RAW_BLOCK:
+            self.block = gl.anneal._decode_block(self.bitgen, self.n)
+            self.word = 0
+        self.word += 1
+        return self.word - 1
+
+    def position(self):
+        if self.n == 1:
+            return 0
+        while True:
+            if self.kept is None:
+                w = self._next_word()
+                pos, self.kept = self.block[0][w], self.block[1][w]
+            else:
+                pos, self.kept = self.kept, None
+            if pos >= 0:
+                return pos
+
+    def uniform(self):
+        w = self._next_word()
+        return self.block[2][w]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 204, 2**31 + 11, 3 * 2**30, 2**32])
 @pytest.mark.parametrize("initial", [0, 7, 8])
 def test_draws_match_numpy_generator(n, initial):
     # the last n values make Lemire's method reject often; an odd initial
-    # draw leaves a cached 32-bit half, an even one does not
+    # draw leaves a kept 32-bit half, an even one does not
     for seed in range(4):
         ours = np.random.Generator(np.random.Philox(seed))
         ref = np.random.Generator(np.random.Philox(seed))
         assert ours.integers(0, 2, size=initial).tolist() == ref.integers(0, 2, size=initial).tolist()
-        positions, uniforms = gl.anneal._draws(ours, n)
+        walk = _Walk(ours, n)
         order = random.Random(seed)
         for _ in range(3000):
             if order.random() < 0.6:
-                assert next(positions) == ref.integers(n)
+                assert walk.position() == ref.integers(n)
             else:
-                assert next(uniforms) == ref.random()
+                assert walk.uniform() == ref.random()
 
 
 def test_draws_refuse_more_than_32_bit_positions():
     with pytest.raises(gl.ModelError):
-        gl.anneal._draws(np.random.Generator(np.random.Philox(0)), 2**32 + 1)
+        gl.anneal._decode_block(np.random.Philox(0), 2**32 + 1)
+
+
+@st.composite
+def anneal_cases(draw):
+    """Small rational models with clamps (one free variable, odd and even
+    counts of them), a schedule and an optional target."""
+    nfree = draw(st.integers(1, 7))
+    n = nfree + draw(st.integers(0, 2))
+    energies = st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3)))
+    terms = []
+    for _ in range(draw(st.integers(0, 8))):
+        vars_ = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+        table = draw(st.lists(energies, min_size=1 << len(vars_), max_size=1 << len(vars_)))
+        terms.append(gl.EnergyTerm(tuple(vars_), tuple(table)))
+    clamped = draw(st.permutations(range(n)))[: n - nfree]
+    clamps = {v: draw(st.integers(0, 1)) for v in clamped}
+    model = gl.EnergyModel(tuple(gl.Variable(i) for i in range(n)), tuple(terms), clamps)
+    t_end = draw(st.sampled_from((0.05, 0.3, 1.0)))
+    sched = gl.AnnealSchedule(
+        t_start=t_end * draw(st.sampled_from((1, 4, 40))),
+        t_end=t_end,
+        sweeps=draw(st.integers(1, 40)),
+        restarts=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    target = draw(st.one_of(st.none(), energies))
+    return model, sched, target
+
+
+# one free variable beside a clamp, where a position draw takes no word
+_ONE_FREE = (
+    gl.EnergyModel(
+        (gl.Variable(0), gl.Variable(1)),
+        (gl.EnergyTerm((0, 1), tuple(map(Fraction, (0, 1, 2, -1)))),),
+        {1: 1},
+    ),
+    gl.AnnealSchedule(t_start=4.0, t_end=1.0, sweeps=40, restarts=2, seed=5),
+    Fraction(-1),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(anneal_cases())
+@example(_ONE_FREE)
+def test_anneal_matches_reference(case):
+    model, sched, target = case
+    result = gl.metropolis_anneal(model, sched, target=target)
+    assert repr(result) == repr(reference_anneal(model, sched, target=target))

@@ -110,6 +110,20 @@ def test_solve_anneal_byte_identical(tmp_path, capsys):
     assert "success=true" in out1
 
 
+def test_consecutive_calls_share_no_options(tmp_path, capsys):
+    # the parser is built once per process, so one call's options must not
+    # reach the next call
+    assert gl.cli.build_parser() is gl.cli.build_parser()
+    dump = tmp_path / "chain.dump"
+    dump.write_text(gl.format_model(gl.make_wire_chain(3, 1).fragment))
+    code, out, _ = run(capsys, "solve", str(dump), "--method", "anneal", "--seed", "3")
+    assert code == 0 and out.splitlines()[0] == "seed=3"
+    code, out, _ = run(capsys, "solve", str(dump), "--method", "anneal")
+    assert code == 0 and out.splitlines()[0] == "seed=0"
+    code, _, stderr = run(capsys, "solve", str(dump), "--seed", "three")
+    assert code == 1 and stderr.startswith("error: ")
+
+
 def test_solve_anneal_restart_csv(tmp_path, capsys):
     chain = gl.make_wire_chain(4, 1)
     dump = tmp_path / "chain.dump"

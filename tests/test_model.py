@@ -258,6 +258,9 @@ def test_dump_fractional_energies_round_trip():
         # a bad token in the second of two near-identical tables
         ("VAR 0 wire\nTERM 1 0 : 1/2 3\nTERM 1 0 : 1/2 3x", 3),
         ("VAR 0 wire\nTERM 1 0 : 1/2 3\n# note\nTERM 1 0 : 1/0 3", 4),
+        # a bad token after lines that reuse the same good tokens
+        ("VAR 0 wire\nVAR 1 wire\nTERM 1 0 : 1/2 3\nTERM 2 0 1 : 3 1/2 1/2 3\nTERM 1 1 : 3 1/2x", 5),
+        ("VAR 0 wire\nTERM 1 0 : -1 -1\nTERM 1 0 : -1 --1", 3),
     ],
 )
 def test_dump_parse_errors_carry_line_numbers(bad, lineno):

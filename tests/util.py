@@ -1,8 +1,11 @@
 """Shared builders for the test suite."""
 
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+
+import numpy as np
 
 import groundlogic as gl
 
@@ -27,6 +30,58 @@ def extend_by_forcings(inputs_assignment: dict[int, int], forcings) -> dict[int,
             idx |= (a[arg] & 1) << j
         a[var] = table[idx]
     return a
+
+
+def reference_anneal(model: gl.EnergyModel, sched: gl.AnnealSchedule, target=None) -> gl.AnnealResult:
+    """Oracle for `metropolis_anneal`: the same dynamics, drawing each
+    position with `rng.integers(nfree)` and each uphill test with
+    `rng.random()`, and recomputing dE in exact Fractions from the tables of
+    the terms that touch the flipped variable."""
+    free = model.free_vars
+    touching = {v: [t for t in model.terms if v in t.vars] for v in free}
+    target = None if target is None else Fraction(target)
+    results = []
+    best = best_state = None
+    attempts = accepts = 0
+    for child in np.random.SeedSequence(sched.seed).spawn(sched.restarts):
+        rng = np.random.Generator(np.random.Philox(child))
+        state = dict(model.clamps)
+        state.update(zip(free, (int(b) for b in rng.integers(0, 2, size=len(free)))))
+        energy = local_best = gl.total_energy(model, state)
+        local_state = dict(state)
+        first_hit = 0 if target is not None and energy <= target else None
+        for sweep in range(1, sched.sweeps + 1):
+            temp = sched.temperature(sweep - 1)
+            for _ in range(len(free)):
+                v = free[int(rng.integers(len(free)))]
+                before = sum(t.energy(state) for t in touching[v])
+                state[v] ^= 1
+                delta = sum(t.energy(state) for t in touching[v]) - before
+                if delta > 0:
+                    attempts += 1
+                    if rng.random() < math.exp(-float(delta) / temp):
+                        accepts += 1
+                    else:
+                        state[v] ^= 1
+                        continue
+                energy += delta
+                if energy < local_best:
+                    local_best, local_state = energy, dict(state)
+            if target is not None and first_hit is None and local_best <= target:
+                first_hit = sweep
+        results.append(gl.RestartResult(local_best, first_hit, target is not None and local_best <= target))
+        if best is None or local_best < best:
+            best, best_state = local_best, local_state
+    hits = [r.first_hit_sweep for r in results if r.first_hit_sweep is not None]
+    return gl.AnnealResult(
+        best_energy=best,
+        best_assignment=best_state,
+        first_hit_sweep=min(hits) if hits else None,
+        success=target is not None and best <= target,
+        restarts=tuple(results),
+        uphill_attempts=attempts,
+        uphill_accepts=accepts,
+    )
 
 
 def random_cnf(rng: random.Random, n: int, m: int, k: int = 3) -> gl.Cnf:
