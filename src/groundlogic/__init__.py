@@ -25,7 +25,6 @@ from .model import (
     enumerate_ground_states,
     format_model,
     parse_model,
-    project,
     spectrum,
     total_energy,
 )

@@ -9,8 +9,11 @@ after every sweep.  Restarts run on independent counter-split RNG streams
 derived from the master seed, so results are reproducible and merge
 deterministically by (energy, restart index).
 
-Energy bookkeeping stays exact (common-denominator integers); floats enter
-only through the acceptance probability.
+Energy bookkeeping stays exact: the annealer reads the same integer terms
+as the exact solvers (`model._integer_terms`: one common denominator, the
+clamps folded out, the fully clamped terms summed into an offset) and only
+maps their variables to free positions.  Floats enter only through the
+acceptance probability; a dE too large for a float raises `ModelError`.
 
 A proposal costs one lookup for dE.  The annealer keeps every folded
 term's current table index and every free variable's local field, the exact
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .model import Assignment, EnergyModel, ModelError, _folded, _integerized
+from .model import Assignment, EnergyModel, ModelError, _integer_terms
 
 
 class NothingToDoError(ModelError):
@@ -154,19 +157,18 @@ def metropolis_anneal(
     model: EnergyModel,
     sched: AnnealSchedule,
     target=None,
-    debug: bool = False,
 ) -> AnnealResult:
     """Anneal with single-bit-flip Metropolis dynamics.
 
     Deterministic given (model, schedule, seed).  `target` (usually a known
     exact ground energy) drives first-hit tracking and the success flag.
-    With `debug` the incrementally maintained term indices, local fields and
-    energy are checked against a full recomputation every 1000 proposals.
     """
-    free, offset, folded = _folded(model)
+    free = model.free_vars
     if not free:
         raise NothingToDoError("model has no free variables")
-    denom, off, terms = _integerized(offset, folded)
+    denom, offset, int_terms = _integer_terms(model)
+    position = {v: p for p, v in enumerate(free)}
+    terms = [([position[v] for v in vars_], table) for vars_, table in int_terms]
     target_int = None
     if target is not None:
         t = Fraction(target) * denom
@@ -195,22 +197,6 @@ def metropolis_anneal(
         for j, p in enumerate(positions):
             incident[p].append((k, 1 << j, members[k]))
 
-    def term_indices(state) -> list[int]:
-        return [
-            sum(state[p] << j for j, p in enumerate(positions))
-            for positions, _ in terms
-        ]
-
-    def fields_at(indices) -> list[int]:
-        field = [0] * nfree
-        for term, i in zip(members, indices):
-            for p, flip in term:
-                field[p] += flip[i]
-        return field
-
-    def energy_at(indices) -> int:
-        return off + sum(table[i] for (_, table), i in zip(terms, indices))
-
     exp = math.exp
     streams = np.random.SeedSequence(sched.seed).spawn(sched.restarts)
     results: list[RestartResult] = []
@@ -225,14 +211,16 @@ def metropolis_anneal(
         kept = _kept_position(bitgen, nfree)
         lows, highs, uniforms = _decode_block(bitgen, nfree)
         word = 0
-        index = term_indices(state)
+        index = [sum(state[p] << j for j, p in enumerate(positions)) for positions, _ in terms]
         # field[p]: the exact energy change of flipping p
-        field = fields_at(index)
-        energy = energy_at(index)
+        field = [0] * nfree
+        for term, i in zip(members, index):
+            for p, flip in term:
+                field[p] += flip[i]
+        energy = offset + sum(table[i] for (_, table), i in zip(terms, index))
         local_best = energy
         local_best_state = list(state)
         first_hit = 0 if target_int is not None and energy <= target_int else None
-        proposals = 0
         for sweep in range(1, sched.sweeps + 1):
             temp = sched.temperature(sweep - 1)
             # acceptance probability by dE at this sweep's temperature
@@ -267,7 +255,12 @@ def metropolis_anneal(
                     word += 1
                     p = accept_at.get(delta)
                     if p is None:
-                        p = accept_at[delta] = exp(-(delta / denom) / temp)
+                        try:
+                            p = accept_at[delta] = exp(-(delta / denom) / temp)
+                        except OverflowError:
+                            raise ModelError(
+                                f"energy change {Fraction(delta, denom)} is too large for a float"
+                            ) from None
                     accept = uniform < p
                     if accept:
                         uphill_accepts += 1
@@ -282,17 +275,6 @@ def metropolis_anneal(
                     if energy < local_best:
                         local_best = energy
                         local_best_state = list(state)
-                if debug:
-                    proposals += 1
-                    if proposals % 1000 == 0:
-                        recomputed = term_indices(state)
-                        if recomputed != index:
-                            raise ModelError("incremental term indices drifted")
-                        if fields_at(recomputed) != field:
-                            raise ModelError("incremental local fields drifted")
-                        full = energy_at(recomputed)
-                        if full != energy:
-                            raise ModelError(f"incremental energy drifted: {energy} != {full}")
             if (
                 target_int is not None
                 and first_hit is None

@@ -24,29 +24,36 @@ round-trips exactly: parsing a formatted model and formatting it again
 reproduces the same text.  A VAR line declares an id before any CLAMP or
 TERM line names it.
 
+Clamps are folded out once, in integers, by `_integer_terms`, for every
+solver: it scales each distinct table by the common denominator of all
+entries, folds the clamped variables out of every term once per distinct
+(table, clamp bits) pair, and sums the terms the clamps fix entirely into
+an integer offset.  The exact solvers and the annealer read its output.
+
 Every exact solver (`enumerate_ground_states`, `spectrum`, the gadget
 scans, `Network.ground_states`) reduces one levelized, bit-parallel scan,
 `_scan`, over the masks of the roots, the free variables no forcing
 assigns.  Masks are scanned in aligned blocks of 2**b, b sized from
 `_BLOCK_BYTES`: the low b roots vary within a block, the high roots are
 fixed by its number, and each solver carries its running result from block
-to block.  A term whose variables are all roots or clamped is blind: with
-its clamps folded out, its table is an array with one axis per root, added
-by broadcasting over the block's (2,)*b energy array after slicing it at
-the block's high roots.  Without a plan every term is blind and no value
+to block.  A folded term whose variables are all roots is blind: its table
+is an array with one axis per root, added by broadcasting over the block's
+(2,)*b energy array, which starts at the offset, after slicing it at the
+block's high roots.  Without a plan every term is blind and no value
 matrix is built; the solvers take the state bits they need from the masks.
 A term that touches a forced variable is gathered: a uint8 value matrix
-holds one row per variable and one column per mask, the forcings are
-stacked by topological level and arity, so each stack costs one gather
-from its tables, and the gathered terms, stacked by arity, each add one
-gather-and-sum to the energy vector.  Energies are integerized over a
-common denominator and summed in int64 when the largest possible sum stays
-below 2**62, as Python ints otherwise.
+holds one row per variable and one column per mask (clamp rows serve the
+forcings and the reported states), the forcings are stacked by
+topological level and arity, so each stack costs one gather from its
+tables, and the gathered terms, stacked by arity, each add one
+gather-and-sum to the energy vector.  Energies are summed in int64 when
+the largest possible sum stays below 2**62, as Python ints otherwise.
 
 Compiled networks repeat a few gadget tables on thousands of terms, and
 terms built from one table share its tuple: the parser reuses the table of
 a TERM line whose energy text it has already read, and integerizing,
-stacking and formatting handle each distinct table object once per call.
+folding, stacking and formatting handle each distinct table object once
+per call.
 """
 
 from __future__ import annotations
@@ -155,29 +162,6 @@ class EnergyTerm:
 
     def energy(self, assignment: Assignment) -> Fraction:
         return self.table[self.index(assignment)]
-
-    def restrict(self, fixed: dict[int, int]) -> tuple["EnergyTerm | None", Fraction]:
-        """Fold fixed bits out of the table.
-
-        Returns (smaller term, 0) when free variables remain, or
-        (None, constant energy) when every variable was fixed.
-        """
-        if not any(v in fixed for v in self.vars):
-            return self, Fraction(0)
-        keep = [(j, v) for j, v in enumerate(self.vars) if v not in fixed]
-        base = 0
-        for j, v in enumerate(self.vars):
-            if v in fixed:
-                base |= (fixed[v] & 1) << j
-        if not keep:
-            return None, self.table[base]
-        sub = []
-        for i in range(1 << len(keep)):
-            idx = base
-            for jj, (j, _) in enumerate(keep):
-                idx |= ((i >> jj) & 1) << j
-            sub.append(self.table[idx])
-        return EnergyTerm(tuple(v for _, v in keep), tuple(sub)), Fraction(0)
 
 
 def _renamed_terms(terms, mapping) -> list[EnergyTerm]:
@@ -304,41 +288,57 @@ def total_energy(model: EnergyModel, assignment: Assignment) -> Fraction:
     return e
 
 
-def _folded(model: EnergyModel):
-    """Fold clamps out; map remaining term vars to free-variable positions."""
-    free = list(model.free_vars)
-    pos = {v: i for i, v in enumerate(free)}
-    offset = Fraction(0)
-    folded = []
-    for t in model.terms:
-        sub, const = t.restrict(model.clamps)
-        if sub is None:
-            offset += const
-        else:
-            folded.append((tuple(pos[v] for v in sub.vars), sub.table))
-    return free, offset, folded
+def _integer_terms(model: EnergyModel):
+    """The model's terms over a common denominator with the clamps folded
+    out: (denom, offset, [(vars, integer table)]).
 
-
-def _integerized(offset: Fraction, folded):
-    """Scale all energies by a common denominator so the hot loop is int-only.
-
-    Each distinct table object is read once; terms that shared a Fraction
-    table share its integer table.
+    `denom` is the least common denominator of every table entry; each
+    distinct table object is scaled once.  A term touching a clamp keeps
+    its free variables and the entries its clamped bits select (folded once
+    per distinct table and clamp pattern); a term the clamps fix entirely
+    adds its one entry to the integer `offset` instead.
     """
-    # `folded` keeps every table alive, so no id is reused during the call
-    distinct = {id(table): table for _, table in folded}
-    denoms = {offset.denominator}
+    distinct = {id(t.table): t.table for t in model.terms}
+    denoms = set()
     for table in distinct.values():
         denoms.update(e.denominator for e in table)
     denom = lcm(*denoms)
     scale = {d: denom // d for d in denoms}
-    off = offset.numerator * scale[offset.denominator]
     scaled = {
         key: tuple(e.numerator * scale[e.denominator] for e in table)
         for key, table in distinct.items()
     }
-    terms = [(positions, scaled[id(table)]) for positions, table in folded]
-    return denom, off, terms
+    clamps = model.clamps
+    clamped = clamps.keys()
+    offset = 0
+    terms = []
+    # (table id, clamped positions, clamped bits) -> folded table; `scaled`
+    # keeps every table alive, so no id is reused during the call
+    folds: dict[tuple[int, int, int], tuple[int, ...]] = {}
+    for t in model.terms:
+        table = scaled[id(t.table)]
+        if clamped.isdisjoint(t.vars):
+            terms.append((t.vars, table))
+            continue
+        mask = bits = 0
+        for j, v in enumerate(t.vars):
+            if v in clamps:
+                mask |= 1 << j
+                bits |= clamps[v] << j
+        key = (id(table), mask, bits)
+        folded = folds.get(key)
+        if folded is None:
+            keep = [j for j in range(len(t.vars)) if not mask >> j & 1]
+            folded = folds[key] = tuple(
+                table[bits | sum((i >> a & 1) << j for a, j in enumerate(keep))]
+                for i in range(1 << len(keep))
+            )
+        free = tuple([v for v in t.vars if v not in clamps])
+        if free:
+            terms.append((free, folded))
+        else:
+            offset += folded[0]
+    return denom, offset, terms
 
 
 # Bytes of working arrays per block of scanned masks.
@@ -369,10 +369,11 @@ def _scan(model: EnergyModel, plan, cap: int):
     clamps = model.clamps
     row = {v: i for i, v in enumerate(model.var_ids)}
     forcings = _forcing_groups(plan, roots, clamps, row)
-    denom, energy_dtype, groups = _term_groups(model.terms, row)
+    denom, offset, terms = _integer_terms(model)
+    energy_dtype, groups = _term_groups(terms, row, offset)
     root_rows = [row[v] for v in roots]
     clamp_rows = [row[v] for v in clamps]
-    gathered, blind = _blind_terms(groups, len(row), root_rows, clamp_rows, list(clamps.values()))
+    gathered, blind = _blind_terms(groups, len(row), root_rows)
 
     # Blocks are aligned runs of 2**b masks: the low b roots vary within a
     # block and the high roots are fixed by its number.  A scan with
@@ -410,7 +411,7 @@ def _scan(model: EnergyModel, plan, cap: int):
                 bits = partial(_matrix_bits, vals, row)
             else:
                 bits = partial(_mask_bits, start, size, root_bit, clamps, row)
-            energy = np.zeros((2,) * b, dtype=energy_dtype)
+            energy = np.full((2,) * b, offset, dtype=energy_dtype)
             for tables, high in addends:
                 hi = 0
                 for shift in high:
@@ -501,21 +502,21 @@ def _forcing_groups(plan, roots, clamps, row):
     return out
 
 
-def _term_groups(terms, row):
-    """Integerized term tables stacked by arity: (denom, dtype, groups).
+def _term_groups(terms, row, offset):
+    """The integer terms of `_integer_terms` stacked by arity: (dtype,
+    groups).
 
-    Energies are summed in int64 when no sum of one entry per term can
-    reach 2**62, and as Python ints (dtype object) otherwise.
+    Energies are summed in int64 when no sum of the offset and one entry
+    per term can reach 2**62, and as Python ints (dtype object) otherwise.
     """
-    denom, _, int_terms = _integerized(Fraction(0), [(t.vars, t.table) for t in terms])
     # each arity's distinct tables are converted to an array once; every
     # term picks its table's row of that stack
     stacks: dict[int, list] = {}
     stack_row: dict[int, int] = {}
     peak: dict[int, int] = {}
     by_arity: dict[int, list] = {}
-    bound = 0
-    for vars_, table in int_terms:
+    bound = abs(offset)
+    for vars_, table in terms:
         key = id(table)
         if key not in stack_row:
             stack = stacks.setdefault(len(vars_), [])
@@ -530,25 +531,23 @@ def _term_groups(terms, row):
         picks = np.array([r for _, r in ts], dtype=np.intp)
         tables = np.array(stacks[arity], dtype=dtype)[picks]
         groups.append((_arg_cols([vars_ for vars_, _ in ts], row), tables))
-    return denom, dtype, groups
+    return dtype, groups
 
 
-def _blind_terms(groups, n_rows, root_rows, clamp_rows, clamp_bits):
+def _blind_terms(groups, n_rows, root_rows):
     """Split the stacked terms of `_term_groups`: (gathered, blind).
 
-    A term whose variables are all roots or clamped is blind: it becomes an
-    array over its roots (`_root_table`), and the blind terms over one set
-    of roots are summed into one array, keyed by those roots in descending
-    order.  The other terms stay stacked by arity for `_gather`.  The test
-    is one vectorized pass per arity, so a scan whose every term touches a
-    forced variable pays no Python work per term.
+    A term whose variables are all roots is blind: it becomes an array over
+    its roots (`_root_table`), and the blind terms over one set of roots
+    are summed into one array, keyed by those roots in descending order.
+    The other terms stay stacked by arity for `_gather`.  The test is one
+    vectorized pass per arity, so a scan whose every term touches a forced
+    variable pays no Python work per term.
     """
-    # per value-matrix row: the root's index, or the clamped bit, else -1
+    # per value-matrix row: the root's index, else -1
     root_at = np.full(n_rows, -1, dtype=np.intp)
     root_at[root_rows] = np.arange(len(root_rows))
-    clamp_at = np.full(n_rows, -1, dtype=np.intp)
-    clamp_at[clamp_rows] = clamp_bits
-    blind_row = (root_at >= 0) | (clamp_at >= 0)
+    blind_row = root_at >= 0
     gathered = []
     blind: dict[tuple, np.ndarray] = {}
     for arg_cols, tables in groups:
@@ -558,10 +557,8 @@ def _blind_terms(groups, n_rows, root_rows, clamp_rows, clamp_bits):
         if is_blind.any():
             picked = np.flatnonzero(is_blind)
             cols = np.array([c[picked] for c in arg_cols]).T
-            for table, roots, bits in zip(
-                tables[picked], root_at[cols].tolist(), clamp_at[cols].tolist()
-            ):
-                key, table = _root_table(table, roots, bits)
+            for table, roots in zip(tables[picked], root_at[cols].tolist()):
+                key, table = _root_table(table, roots)
                 if key in blind:
                     blind[key] += table
                 else:
@@ -572,17 +569,13 @@ def _blind_terms(groups, n_rows, root_rows, clamp_rows, clamp_bits):
     return gathered, blind
 
 
-def _root_table(table, roots, bits):
-    """A blind term's table with its clamped arguments folded out, as
-    (roots in descending order, array with one axis per root in that
-    order).  Argument j is root roots[j], or clamped to bits[j] >= 0."""
+def _root_table(table, roots):
+    """A blind term's table as (its roots in descending order, array with
+    one axis per root in that order); argument j is root roots[j]."""
     # reshaped to (2,)*k, the table's axis a holds argument k-1-a
-    t = table.reshape((2,) * len(roots))
-    if max(bits) >= 0:
-        t = t[tuple(slice(None) if b < 0 else b for b in reversed(bits)) + (...,)]
-    free = [r for r in reversed(roots) if r >= 0]
-    order = sorted(range(len(free)), key=free.__getitem__, reverse=True)
-    return tuple(free[a] for a in order), t.transpose(order)
+    axes = roots[::-1]
+    order = sorted(range(len(axes)), key=axes.__getitem__, reverse=True)
+    return tuple(axes[a] for a in order), table.reshape((2,) * len(roots)).transpose(order)
 
 
 def _arg_cols(arg_lists, row):
@@ -658,18 +651,6 @@ def spectrum(model: EnergyModel, cap: int = DEFAULT_CAP) -> SpectrumReport:
     first = Fraction(e1, denom) if e1 is not None else None
     gap = first - ground if first is not None else None
     return SpectrumReport(ground, count0, first, gap)
-
-
-def project(assignments, vars: list[int]) -> list[Assignment]:
-    """Deduplicated projections of assignments onto the listed variables."""
-    seen: dict[tuple, Assignment] = {}
-    for a in assignments:
-        try:
-            key = tuple(a[v] for v in vars)
-        except KeyError as exc:
-            raise ModelError(f"assignment has no variable {exc.args[0]}") from None
-        seen.setdefault(key, dict(zip(vars, key)))
-    return [seen[k] for k in sorted(seen)]
 
 
 # --- dump format -----------------------------------------------------------

@@ -605,16 +605,6 @@ def verify_ground_histories(lattice: Lattice, cap: int = DEFAULT_CAP) -> bool:
     return actual == expected
 
 
-def head_bus_codes(lattice: Lattice, assignment: Assignment, i: int, j: int):
-    """Decode the incoming bus values of control (i, j) in a ground state."""
-    down = up = 0
-    for b, v in enumerate(lattice.plan.inbus_down[(i, j)]):
-        down |= (assignment[v] & 1) << b
-    for b, v in enumerate(lattice.plan.inbus_up[(i, j)]):
-        up |= (assignment[v] & 1) << b
-    return down, up
-
-
 # --- machine text format ----------------------------------------------------
 
 

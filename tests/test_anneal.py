@@ -65,9 +65,9 @@ def test_different_seeds_may_differ_but_stay_sound():
 
 
 def test_incremental_energy_matches_full_recompute():
-    # debug mode cross-checks the running term indices and energy every 1000
-    # proposals, so a flip XORed into the wrong bit or the wrong term raises;
-    # checking must not change the trajectory
+    # the reference recomputes every dE in Fractions from the model's own
+    # terms, so a flip XORed into the wrong bit or the wrong term, or a
+    # field left stale, changes the trajectory
     rng = random.Random(62)
     models = [random_model(rng, n_vars=8, n_terms=10) for _ in range(3)]
     models.append(random_model(rng, n_vars=9, n_terms=12).with_clamps({2: 1}))
@@ -75,7 +75,7 @@ def test_incremental_energy_matches_full_recompute():
     models.append(gl.attach_dedlu(gl.compile_netlist(gl.encode_cnf(cnf), penalty=2), "sat", 1).model)
     for trial, m in enumerate(models):
         sched = gl.AnnealSchedule(t_start=3.0, t_end=0.2, sweeps=400, restarts=2, seed=trial)
-        assert gl.metropolis_anneal(m, sched, debug=True) == gl.metropolis_anneal(m, sched)
+        assert repr(gl.metropolis_anneal(m, sched)) == repr(reference_anneal(m, sched))
 
 
 def test_clamped_variables_never_flip():
@@ -90,6 +90,17 @@ def test_nothing_to_do():
     m = gl.EnergyModel((gl.Variable(0),), clamps={0: 1})
     with pytest.raises(gl.NothingToDoError):
         gl.metropolis_anneal(m, GENEROUS)
+
+
+def test_energy_change_too_large_for_a_float_raises():
+    def model(scale):
+        table = tuple(Fraction(e) * scale for e in (0, 1, 1, 0))
+        return gl.EnergyModel((gl.Variable(0), gl.Variable(1)), (gl.EnergyTerm((0, 1), table),))
+
+    sched = gl.AnnealSchedule(t_start=2.0, t_end=0.05, sweeps=5)
+    with pytest.raises(gl.ModelError, match="energy change"):
+        gl.metropolis_anneal(model(10**400), sched)
+    assert gl.metropolis_anneal(model(10**300), sched).best_energy == 0
 
 
 def test_detailed_balance_at_fixed_temperature():

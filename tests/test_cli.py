@@ -110,6 +110,18 @@ def test_solve_anneal_byte_identical(tmp_path, capsys):
     assert "success=true" in out1
 
 
+@pytest.mark.parametrize("energy, code", [("1e400", 1), ("1e300", 0)])
+def test_solve_anneal_float_overflow_is_an_error(tmp_path, capsys, energy, code):
+    dump = tmp_path / "huge.dump"
+    dump.write_text(f"VAR 0 wire\nVAR 1 wire\nTERM 2 0 1 : 0 {energy} {energy} 0\n")
+    got, out, stderr = run(capsys, "solve", str(dump), "--method", "anneal", "--sweeps", "5")
+    assert got == code
+    if code:
+        assert stderr.startswith("error: ") and "energy change" in stderr
+    else:
+        assert "best_energy=0" in out
+
+
 def test_consecutive_calls_share_no_options(tmp_path, capsys):
     # the parser is built once per process, so one call's options must not
     # reach the next call

@@ -79,7 +79,8 @@ def test_huge_medlu_scale_sums_python_ints():
     net = gl.compile_netlist(gl.parse_netlist(OR3_NL), penalty=1 << 65)
     _, net = gl.assemble_usqc(net, medlu_ports=("a", "b", "y"), scale=1 << 62)
     row = {v: i for i, v in enumerate(net.model.var_ids)}
-    assert gl.model._term_groups(net.model.terms, row)[1] == object
+    _, offset, terms = gl.model._integer_terms(net.model)
+    assert gl.model._term_groups(terms, row, offset)[0] == object
     e, states = net.ground_states()
     assert e == 0 and len(states) == 1
     assert (e, states) == gl.enumerate_ground_states(net.model)

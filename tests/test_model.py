@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import groundlogic as gl
-from util import random_model
+from util import random_model, reference_anneal
 
 WIRE = gl.EnergyTerm((0, 1), (0, 1, 1, 0))
 
@@ -105,19 +105,6 @@ def test_spectrum_and_degeneracy_four():
     rep = gl.spectrum(and_penalty_model())
     assert rep.ground_degeneracy == 4
     assert rep.gap == 1
-
-
-def test_project_basics():
-    assignments = [{0: 0, 1: 0}, {0: 1, 1: 1}]
-    assert gl.project(assignments, [0]) == [{0: 0}, {0: 1}]
-    assert gl.project([], [0]) == []
-    with pytest.raises(gl.ModelError):
-        gl.project(assignments, [7])
-
-
-def test_project_deduplicates():
-    assignments = [{0: 0, 1: 0}, {0: 0, 1: 1}]
-    assert gl.project(assignments, [0]) == [{0: 0}]
 
 
 def test_energy_additivity():
@@ -361,6 +348,41 @@ def test_clamps_inside_terms_spanning_high_roots(seed):
         with mock.patch.object(gl.model, "_BLOCK_BYTES", budget):
             assert repr(gl.enumerate_ground_states(m)) == repr((e0, states))
             assert gl.spectrum(m) == gl.SpectrumReport(e0, len(states), e1, e1 - e0)
+
+
+def test_one_table_under_different_clamp_patterns():
+    # one table object on seven terms, clamped seven ways: not at all, one
+    # argument to 0 or to 1 at each end and in the middle, and fully (twice,
+    # into the offset); every entry differs, so a fold read at the wrong
+    # bits, or shared between clamp patterns, changes some energy
+    shared = tuple(Fraction(e, 3) for e in (2, -5, 7, 1, -4, 11, 3, -8))
+    clamps = {3: 0, 4: 1, 5: 1}
+    patterns = [(0, 1, 2), (3, 0, 1), (4, 1, 2), (0, 5, 2), (0, 1, 3), (3, 4, 5), (5, 4, 3)]
+    terms = [gl.EnergyTerm(vars_, shared) for vars_ in patterns]
+    terms.append(gl.EnergyTerm((6, 2), tuple(map(Fraction, (0, 3, -2, 5)))))
+    m = gl.EnergyModel(tuple(gl.Variable(i) for i in range(7)), tuple(terms), clamps)
+    assert len({id(t.table) for t in m.terms[:7]}) == 1
+    levels = _levels(m)
+    e0, e1 = sorted(levels)[:2]
+    states = sorted(levels[e0], key=lambda a: [a[v] for v in sorted(a)])
+    assert repr(gl.enumerate_ground_states(m)) == repr((e0, states))
+    assert gl.spectrum(m) == gl.SpectrumReport(e0, len(states), e1, e1 - e0)
+    sched = gl.AnnealSchedule(t_start=3.0, t_end=0.2, sweeps=60, restarts=3, seed=4)
+    assert repr(gl.metropolis_anneal(m, sched, target=e0)) == repr(
+        reference_anneal(m, sched, target=e0)
+    )
+
+    # a compiled netlist whose AND gadget table is shared by three gates:
+    # clamping an input and the output folds the gathered terms
+    nl = gl.parse_netlist(
+        "INPUT a\nINPUT b\nOUTPUT y\n"
+        "GATE AND a b -> c\nGATE AND c a -> d\nGATE AND b d -> y\n"
+    )
+    net = gl.compile_netlist(nl, penalty=2)
+    # (a, y) = (0, 1) has no consistent state
+    for a, y in ((0, 0), (1, 0), (1, 1)):
+        clamped = gl.clamp_inputs(net, {"a": a}).with_net_clamps({"y": y})
+        assert clamped.ground_states() == gl.enumerate_ground_states(clamped.model)
 
 
 # Spellings of a few values, several per value, so equal tables can be

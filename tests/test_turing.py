@@ -2,7 +2,8 @@ import pytest
 
 import groundlogic as gl
 from util import (
-    FLIPPER, THREE_STATE, TWO_STATE, WRITE1_HALT, extend_by_forcings, flat_lattice, sfsc_cell,
+    FLIPPER, THREE_STATE, TWO_STATE, WRITE1_HALT, extend_by_forcings, flat_lattice, head_bus_codes,
+    sfsc_cell,
 )
 
 
@@ -242,7 +243,7 @@ def test_single_head_invariant():
             for i in range(1, p + 1):
                 live = []
                 for j in range(1, p + 1):
-                    down, up = gl.turing.head_bus_codes(lat, a, i, j)
+                    down, up = head_bus_codes(lat, a, i, j)
                     assert not (down and up)
                     if down or up:
                         live.append((j, down or up, "D" if down else "U"))

@@ -32,6 +32,16 @@ def extend_by_forcings(inputs_assignment: dict[int, int], forcings) -> dict[int,
     return a
 
 
+def head_bus_codes(lattice: gl.Lattice, assignment: dict[int, int], i: int, j: int):
+    """Oracle decoder: the incoming bus values of control (i, j) in a ground state."""
+    down = up = 0
+    for b, v in enumerate(lattice.plan.inbus_down[(i, j)]):
+        down |= (assignment[v] & 1) << b
+    for b, v in enumerate(lattice.plan.inbus_up[(i, j)]):
+        up |= (assignment[v] & 1) << b
+    return down, up
+
+
 def reference_anneal(model: gl.EnergyModel, sched: gl.AnnealSchedule, target=None) -> gl.AnnealResult:
     """Oracle for `metropolis_anneal`: the same dynamics, drawing each
     position with `rng.integers(nfree)` and each uphill test with
