@@ -167,8 +167,12 @@ def metropolis_anneal(
     if not free:
         raise NothingToDoError("model has no free variables")
     denom, offset, int_terms = _integer_terms(model)
-    position = {v: p for p, v in enumerate(free)}
-    terms = [([position[v] for v in vars_], table) for vars_, table in int_terms]
+    # each term's free positions (variables and positions both in id order)
+    rows = np.searchsorted(np.array(free, dtype=np.int64), int_terms.vars).tolist()
+    terms = [
+        (positions[:k], int_terms.tables[t])
+        for positions, k, t in zip(rows, int_terms.arity.tolist(), int_terms.tidx.tolist())
+    ]
     target_int = None
     if target is not None:
         t = Fraction(target) * denom
@@ -178,18 +182,17 @@ def metropolis_anneal(
     # members[k]: (p, the energy change of flipping p's bit of term k, by the
     # term's current index) for every free variable p of term k;
     # incident[p]: (term number, p's bit in that term's index, its members).
-    # Terms that share an integer table share its flip tables; `terms` keeps
-    # every table alive, so no id is reused during the call.
+    # Terms that share an integer table share its flip tables.
     flip_tables: dict[tuple[int, int], tuple[int, ...]] = {}
     members: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
     incident: list[list[tuple[int, int, tuple]]] = [[] for _ in range(nfree)]
-    for k, (positions, table) in enumerate(terms):
+    for k, ((positions, table), t) in enumerate(zip(terms, int_terms.tidx.tolist())):
         flips = []
         for j, p in enumerate(positions):
             bit = 1 << j
-            flip = flip_tables.get((id(table), bit))
+            flip = flip_tables.get((t, bit))
             if flip is None:
-                flip = flip_tables[id(table), bit] = tuple(
+                flip = flip_tables[t, bit] = tuple(
                     table[i ^ bit] - table[i] for i in range(len(table))
                 )
             flips.append((p, flip))

@@ -12,14 +12,17 @@ import functools
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from .anneal import AnnealSchedule, metropolis_anneal, NothingToDoError
 from .bias import HierarchyError, assemble_usqc
 from .gadgets import check_edc, parse_gadget
 from .model import (
+    DEFAULT_CAP,
     CapacityError,
     DumpFormatError,
     ModelError,
-    enumerate_ground_states,
+    _ground_matrix,
     format_model,
     parse_model,
 )
@@ -135,31 +138,33 @@ def cmd_dtm(args) -> int:
         penalty=args.penalty,
     )
     c = lattice.complexity
-    print(f"M={c.m_per_sfsc}")
-    print(f"p={c.p}")
-    print(f"sfsc_elements={c.sfsc_elements}")
-    print(f"registers={c.registers}")
-    print(f"total={c.total}")
-    print(f"bound={c.bound}")
-    print(f"bound_plus_p={c.bound_plus_p}")
-    print(f"within_bound={'true' if c.within_bound else 'false'}")
+    report = [
+        f"M={c.m_per_sfsc}",
+        f"p={c.p}",
+        f"sfsc_elements={c.sfsc_elements}",
+        f"registers={c.registers}",
+        f"total={c.total}",
+        f"bound={c.bound}",
+        f"bound_plus_p={c.bound_plus_p}",
+        f"within_bound={'true' if c.within_bound else 'false'}",
+    ]
+    # the report is written only once nothing else can fail
     if args.out:
         _write_out(format_model(lattice.network.model), args.out)
+    ok = verify_ground_histories(lattice) if args.verify else True
     if args.verify:
-        ok = verify_ground_histories(lattice)
-        print(f"verify={'ok' if ok else 'FAIL'}")
-        if not ok:
-            return EXIT_VERIFY
-    return EXIT_OK
+        report.append(f"verify={'ok' if ok else 'FAIL'}")
+    print("\n".join(report))
+    return EXIT_OK if ok else EXIT_VERIFY
 
 
 def cmd_solve(args) -> int:
     model = parse_model(_read(args.path), allow_ports=True)
     if args.method == "exact":
-        energy, states = enumerate_ground_states(model)
-        print(f"E0={energy} deg={len(states)}")
-        for a in states:
-            print(_bitstring(a))
+        energy, _, states = _ground_matrix(model, None, DEFAULT_CAP)
+        # one bitstring per ground state, its bits in variable-id order
+        rows = np.vstack([states | ord("0"), np.full(states.shape[1], ord("\n"), dtype=np.uint8)])
+        sys.stdout.write(f"E0={energy} deg={states.shape[1]}\n" + rows.T.tobytes().decode())
         return EXIT_OK
     sched = AnnealSchedule(
         t_start=args.t_start,
@@ -168,13 +173,15 @@ def cmd_solve(args) -> int:
         restarts=args.restarts,
         seed=args.seed,
     )
-    print(f"seed={args.seed}")
     result = metropolis_anneal(model, sched, target=args.target)
-    print(f"best_energy={result.best_energy}")
-    print(f"best_assignment={_bitstring(result.best_assignment)}")
     hit = result.first_hit_sweep if result.first_hit_sweep is not None else "-"
-    print(f"first_hit_sweep={hit}")
-    print(f"success={'true' if result.success else 'false'}")
+    report = [
+        f"seed={args.seed}",
+        f"best_energy={result.best_energy}",
+        f"best_assignment={_bitstring(result.best_assignment)}",
+        f"first_hit_sweep={hit}",
+        f"success={'true' if result.success else 'false'}",
+    ]
     if args.out:
         lines = ["restart,best_energy,first_hit_sweep,success"]
         for i, r in enumerate(result.restarts):
@@ -183,6 +190,7 @@ def cmd_solve(args) -> int:
                 f"{i},{r.best_energy},{hit},{'true' if r.success else 'false'}"
             )
         _write_out("\n".join(lines) + "\n", args.out)
+    print("\n".join(report))
     return EXIT_OK
 
 

@@ -16,36 +16,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
 from .logic import AND2, NOT, OR2, TruthFunction
 from .model import (
+    _ROLE_CODE,
     CapacityError,
     DumpFormatError,
     EnergyModel,
     EnergyTerm,
+    Forcing,
     K_MAX,
     ModelError,
+    Plan,
     Variable,
+    _build,
+    _concat,
+    _map_array,
+    _rows_of,
+    _scan,
+    _slot_blocks,
+    _stamp,
     as_energy,
     format_model,
     parse_statements,
-    _renamed_terms,
-    _scan,
 )
 
 SCAN_CAP = 2 ** 22
-
-
-class Forcing(NamedTuple):
-    """var = table[index(args)]: the unique minimizing value of a driven
-    variable given already-determined arguments (little-endian index)."""
-
-    var: int
-    args: tuple[int, ...]
-    table: tuple[int, ...]
 
 
 class LogicDominanceError(ModelError):
@@ -56,9 +54,10 @@ class LogicDominanceError(ModelError):
 class Gadget:
     """A boolean gate packaged as an energy fragment with ports.
 
-    `forcings`, when complete, give the unique minimum-energy extension of
-    any input pattern; `ground_table` caches the per-input ground energies
-    claimed by the constructor; `penalty_floor` is a lower bound on the extra
+    `forcings` (any iterable of `Forcing`s, kept as a `Plan`), when
+    complete, give the unique minimum-energy extension of any input
+    pattern; `ground_table` caches the per-input ground energies claimed by
+    the constructor; `penalty_floor` is a lower bound on the extra
     energy of any configuration that deviates from the minimizing extension
     while the inputs stay fixed.  `exact_extension` marks gadgets whose
     forcings are guaranteed-exact by construction.
@@ -69,13 +68,15 @@ class Gadget:
     output: int
     ancillae: tuple[int, ...]
     fragment: EnergyModel
-    forcings: tuple[Forcing, ...] = ()
+    forcings: Plan = ()
     counts: dict[str, int] = field(default_factory=dict)
     penalty_floor: Fraction = Fraction(0)
     ground_table: tuple[Fraction, ...] | None = None
     exact_extension: bool = False
 
     def __post_init__(self):
+        if type(self.forcings) is not Plan:
+            object.__setattr__(self, "forcings", Plan(self.forcings))
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "ancillae", tuple(self.ancillae))
         ports = [*self.inputs, self.output, *self.ancillae]
@@ -95,8 +96,7 @@ class Gadget:
         return (self.output,) + self.ancillae
 
     def forcings_complete(self) -> bool:
-        forced = {f.var for f in self.forcings}
-        return forced == set(self.internal_vars)
+        return set(self.forcings.var.tolist()) == set(self.internal_vars)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def _input_pattern(x: int, n: int) -> tuple[int, ...]:
     return tuple((x >> j) & 1 for j in range(n))
 
 
-def _scan_minima(g: Gadget, fn: TruthFunction | None = None, cap: int = SCAN_CAP, plan=()):
+def _scan_minima(g: Gadget, fn: TruthFunction | None = None, cap: int = SCAN_CAP, plan=None):
     """Exhaustive per-input minimization over the gadget's internal variables,
     or over the extensions by `plan` when it forces all of them.
 
@@ -126,7 +126,7 @@ def _scan_minima(g: Gadget, fn: TruthFunction | None = None, cap: int = SCAN_CAP
     """
     denom, _, blocks = _scan(g.fragment, plan, cap)
     want = np.array(fn.outputs, dtype=np.uint8) if fn is not None else None
-    ports = g.inputs + (g.output,)
+    ports = g.fragment._rows(g.inputs + (g.output,))
     best = wrong = None
     # gadget fragments carry no clamps, so every state is alive
     for bits, _, energy in blocks:
@@ -277,19 +277,11 @@ def make_physical_and(e00, e01, e10, e11, penalty) -> Gadget:
 
 def instantiate(g: Gadget, var_map):
     """Rename a gadget's terms and forcings through a variable mapping (any
-    container indexed by the gadget's variable ids, injective over them)."""
-    return (
-        tuple(_renamed_terms(g.fragment.terms, var_map)),
-        tuple(_renamed_forcings(g.forcings, var_map)),
-    )
-
-
-def _renamed_forcings(forcings, mapping) -> list[Forcing]:
-    new = tuple.__new__  # the tuple Forcing(...) builds, without binding its arguments
-    return [
-        new(Forcing, (mapping[var], tuple([mapping[a] for a in args]), table))
-        for var, args, table in forcings
-    ]
+    container indexed by the gadget's variable ids, injective over them):
+    (term `_Rows`, `Plan`)."""
+    maps = _map_array([[var_map[v] for v in g.fragment.var_ids]])
+    placed = _stamp(_slot_blocks([(g.fragment, g.forcings)]), [0], maps)
+    return placed.rows, placed.forcings
 
 
 def symmetrize(g: Gadget, inverter_penalty=None) -> Gadget:
@@ -319,50 +311,45 @@ def symmetrize(g: Gadget, inverter_penalty=None) -> Gadget:
             f"inverter penalty {p_inv} must exceed {gain_bound} for this profile"
         )
 
-    variables = [Variable(j, "input", f"x{j}") for j in range(n)]
-    variables += [Variable(n + j, "ancilla", f"nx{j}") for j in range(n)]
-    terms: list[EnergyTerm] = []
-    forcings: list[Forcing] = []
-    for j in range(n):
-        terms.append(EnergyTerm((j, n + j), (p_inv, Fraction(0), Fraction(0), p_inv)))
-        forcings.append(Forcing(n + j, (j,), (1, 0)))
+    # Copy s maps g's inputs to x_j or nx_j by the bits of s, its output and
+    # ancillae to fresh ids: 2n + s * (1 + A) onwards.
+    ids = g.fragment.var_ids
+    slot = {v: i for i, v in enumerate(ids)}
+    A = len(g.ancillae)
+    copy = np.arange(1 << n)[:, None]
+    maps = np.full((1 << n, len(ids) + 1), -1, dtype=np.int64)
+    maps[:, [slot[v] for v in g.inputs]] = np.arange(n) + n * (copy >> np.arange(n) & 1)
+    maps[:, [slot[g.output]]] = 2 * n + copy * (1 + A)
+    maps[:, [slot[a] for a in g.ancillae]] = 2 * n + copy * (1 + A) + 1 + np.arange(A)
+    placed = _stamp(_slot_blocks([(g.fragment, g.forcings)]), np.zeros(1 << n, dtype=int), maps)
+    inverter = (p_inv, Fraction(0), Fraction(0), p_inv)
+    inverters = _rows_of([(j, n + j) for j in range(n)], [inverter] * n)
+    plan = Plan([Forcing(n + j, (j,), (1, 0)) for j in range(n)])
 
-    next_id = 2 * n
-    output = None
-    ancillae = [n + j for j in range(n)]
-    for s in range(1 << n):
-        var_map = {}
-        for j, v in enumerate(g.inputs):
-            var_map[v] = j if not (s >> j) & 1 else n + j
-        var_map[g.output] = next_id
-        out_var = next_id
-        next_id += 1
-        for a in g.ancillae:
-            var_map[a] = next_id
-            next_id += 1
-        role = "output" if s == 0 else "ancilla"
-        variables.append(Variable(out_var, role, f"c{s}.y"))
-        for a in g.ancillae:
-            variables.append(Variable(var_map[a], "ancilla", f"c{s}.{a}"))
-        copy_terms, copy_forcings = instantiate(g, var_map)
-        terms += copy_terms
-        forcings += copy_forcings
-        if s == 0:
-            output = out_var
-        else:
-            ancillae.append(out_var)
-        ancillae += [var_map[a] for a in g.ancillae]
-
+    labels = [f"x{j}" for j in range(n)] + [f"nx{j}" for j in range(n)]
+    roles = ["input"] * n + ["ancilla"] * n
+    ancillae = list(range(n, 2 * n))
+    for s, row in enumerate(maps[:, [slot[g.output]] + [slot[a] for a in g.ancillae]].tolist()):
+        labels += [f"c{s}.y"] + [f"c{s}.{a}" for a in g.ancillae]
+        roles += ["output" if s == 0 else "ancilla"] + ["ancilla"] * A
+        ancillae += row if s else row[1:]
+    fragment = _build(
+        np.arange(len(labels), dtype=np.int64),
+        np.array([_ROLE_CODE[r] for r in roles], dtype=np.int8),
+        labels,
+        _concat([inverters, placed.rows]),
+    )
     counts = {k: v << n for k, v in g.counts.items()}
     counts["inverter"] = counts.get("inverter", 0) + n
     total_ground = sum(grounds, Fraction(0))
     return Gadget(
         name=f"sym:{g.name}",
         inputs=tuple(range(n)),
-        output=output,
+        output=2 * n,
         ancillae=tuple(ancillae),
-        fragment=EnergyModel(tuple(variables), tuple(terms)),
-        forcings=tuple(forcings),
+        fragment=fragment,
+        forcings=Plan._of(np.concatenate([plan.var, placed.forcings.var]),
+                          _concat([plan.args, placed.forcings.args])),
         counts=counts,
         penalty_floor=min(g.penalty_floor, p_inv - gain_bound),
         ground_table=tuple(total_ground for _ in range(1 << n)),
@@ -383,7 +370,7 @@ def format_gadget(g: Gadget) -> str:
 def parse_gadget(text: str, name: str = "parsed") -> Gadget:
     """Parse a dump with PORT lines.  Forcing plans are not serialized, so
     parsed gadgets support exhaustive checks only."""
-    variables, clamps, terms, ports = parse_statements(text, allow_ports=True)
+    fragment, ports = parse_statements(text, allow_ports=True)
     ins = tuple(v for kind, v in ports if kind == "in")
     outs = [v for kind, v in ports if kind == "out"]
     anc = tuple(v for kind, v in ports if kind == "anc")
@@ -391,10 +378,9 @@ def parse_gadget(text: str, name: str = "parsed") -> Gadget:
     last = max(1, len(text.splitlines()))
     if not outs:
         raise DumpFormatError(last, "gadget dump needs an out port")
-    if clamps:
-        raise DumpFormatError(last, f"variable {min(clamps)} is clamped in a gadget dump")
-    unlisted = sorted({v.id for v in variables} - {v for _, v in ports})
+    if fragment.clamps:
+        raise DumpFormatError(last, f"variable {min(fragment.clamps)} is clamped in a gadget dump")
+    unlisted = sorted(set(fragment.var_ids) - {v for _, v in ports})
     if unlisted:
         raise DumpFormatError(last, f"variable {unlisted[0]} is not listed by a PORT line")
-    fragment = EnergyModel(tuple(variables), tuple(terms), clamps)
     return Gadget(name=name, inputs=ins, output=outs[0], ancillae=anc, fragment=fragment)

@@ -22,13 +22,27 @@ The line-oriented dump format::
 
 round-trips exactly: parsing a formatted model and formatting it again
 reproduces the same text.  A VAR line declares an id before any CLAMP or
-TERM line names it.
+TERM line names it.  Variable ids are below 2**63.
+
+Models are kept in columns.  Terms are `_Rows`, in term order: an int64
+array of their ids padded with -1 to K_MAX, an arity vector, and an index
+into a tuple of the distinct Fraction tables.  Variables are an id array,
+role codes into ROLES and a label list; a forcing plan (`Plan`) is an array
+of forced variables beside `_Rows` of their arguments and 0/1 tables.
+`.variables`, `.terms` and iterating a `Plan` build the objects on demand;
+the library reads only the columns.  Every model comes out of one checking
+constructor, `_build`, whose checks run in bulk (`_check`): declared ids by
+a sorted search, distinct ids per row by sorting along the rows, and table
+lengths; for a dump, an id must be declared on an earlier line, and the
+first failing line raises the line-by-line reading's message.  Gadget
+copies and lattice cells are placed by `_stamp`: one fancy index of their
+columns, over slots, through slot-to-id maps.
 
 Clamps are folded out once, in integers, by `_integer_terms`, for every
 solver: it scales each distinct table by the common denominator of all
-entries, folds the clamped variables out of every term once per distinct
-(table, clamp bits) pair, and sums the terms the clamps fix entirely into
-an integer offset.  The exact solvers and the annealer read its output.
+entries, folds the clamped variables out of the terms once per distinct
+(table, clamp pattern), and sums the terms the clamps fix entirely into an
+integer offset.  The exact solvers and the annealer read its output.
 
 Every exact solver (`enumerate_ground_states`, `spectrum`, the gadget
 scans, `Network.ground_states`) reduces one levelized, bit-parallel scan,
@@ -42,26 +56,22 @@ is an array with one axis per root, added by broadcasting over the block's
 block's high roots.  Without a plan every term is blind and no value
 matrix is built; the solvers take the state bits they need from the masks.
 A term that touches a forced variable is gathered: a uint8 value matrix
-holds one row per variable and one column per mask (clamp rows serve the
-forcings and the reported states), the forcings are stacked by
-topological level and arity, so each stack costs one gather from its
+holds one row per variable, in id order, and one column per mask (clamp
+rows serve the forcings and the reported states), the forcings are stacked
+by topological level and arity, so each stack costs one gather from its
 tables, and the gathered terms, stacked by arity, each add one
 gather-and-sum to the energy vector.  Energies are summed in int64 when
 the largest possible sum stays below 2**62, as Python ints otherwise.
-
-Compiled networks repeat a few gadget tables on thousands of terms, and
-terms built from one table share its tuple: the parser reuses the table of
-a TERM line whose energy text it has already read, and integerizing,
-folding, stacking and formatting handle each distinct table object once
-per call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import lcm
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +82,7 @@ K_MAX = 8
 DEFAULT_CAP = 2 ** 24
 
 ROLES = ("input", "output", "ancilla", "wire", "constant")
+_ROLE_CODE = {role: code for code, role in enumerate(ROLES)}
 
 
 class ModelError(Exception):
@@ -137,7 +148,7 @@ class EnergyTerm:
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
         # A tuple of plain Fractions is kept as is, so terms built from one
-        # table (gadget copies, repeated dump lines) share a single object.
+        # table share a single object.
         if type(self.table) is not tuple or set(map(type, self.table)) != _FRACTION_ONLY:
             object.__setattr__(self, "table", tuple(as_energy(e) for e in self.table))
         k = len(self.vars)
@@ -164,104 +175,356 @@ class EnergyTerm:
         return self.table[self.index(assignment)]
 
 
-def _renamed_terms(terms, mapping) -> list[EnergyTerm]:
-    """Copies of validated terms with every variable v renamed to mapping[v].
+class Forcing(NamedTuple):
+    """var = table[index(args)]: the unique minimizing value of a driven
+    variable given already-determined arguments (little-endian index)."""
 
-    The mapping must be injective over the terms' variables; that is checked
-    once per call.  Each copy then has distinct variables, the same arity and
-    the same (already checked) table object as its original, so the copies
-    skip `EnergyTerm.__post_init__`.
+    var: int
+    args: tuple[int, ...]
+    table: tuple[int, ...]
+
+
+def _ids(values) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        raise ModelError("variable ids must be integers below 2**63") from None
+
+
+_NO_IDS = _ids([])
+
+
+class _Rows(NamedTuple):
+    """Rows of ids padded with -1 to K_MAX, their arities, and the index of
+    each row's table in `tables`."""
+
+    vars: np.ndarray
+    arity: np.ndarray
+    tidx: np.ndarray
+    tables: tuple
+
+
+def _padded(flat, lengths, width: int = K_MAX) -> np.ndarray:
+    """Rows of lengths[i] ids, read in order from `flat`, padded with -1."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    out = np.full((len(lengths), width), -1, dtype=np.int64)
+    out[np.arange(width) < lengths[:, None]] = flat
+    return out
+
+
+def _rows_of(id_lists, tables) -> _Rows:
+    """Rows of id sequences and their tables; rows share a table object's index."""
+    index: dict[int, tuple] = {}
+    for table in tables:
+        index.setdefault(id(table), (len(index), table))
+    arity = [len(ids) for ids in id_lists]
+    if max(arity, default=0) > K_MAX:
+        raise ModelError(f"arity {max(arity)} exceeds {K_MAX}")
+    return _Rows(
+        _padded(_ids([v for ids in id_lists for v in ids]), arity),
+        np.array(arity, dtype=np.int64),
+        np.array([index[id(t)][0] for t in tables], dtype=np.intp),
+        tuple(t for _, t in index.values()),
+    )
+
+
+def _concat(parts) -> _Rows:
+    """The parts' rows in order, their table tuples joined."""
+    if len(parts) == 1:
+        return parts[0]
+    tidx, tables = [], ()
+    for p in parts:
+        tidx.append(p.tidx + len(tables))
+        tables += p.tables
+    return _Rows(np.concatenate([p.vars for p in parts]), np.concatenate([p.arity for p in parts]),
+                 np.concatenate(tidx), tables)
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Per row: does a non-negative entry repeat?"""
+    srt = np.sort(rows, axis=1)
+    return ((srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] >= 0)).any(axis=1)
+
+
+class Plan:
+    """A forcing plan in columns, in topological order: row i sets `var[i]`
+    to its table at the little-endian index of its `args` row.  Built from
+    `Forcing`s; iterating yields them back."""
+
+    __slots__ = ("var", "args")
+    __hash__ = None
+
+    def __init__(self, forcings=()):
+        forcings = tuple(forcings)
+        self.var = _ids([f[0] for f in forcings])
+        self.args = _rows_of([f[1] for f in forcings], [f[2] for f in forcings])
+
+    @classmethod
+    def _of(cls, var, args: _Rows) -> "Plan":
+        plan = object.__new__(cls)
+        plan.var, plan.args = var, args
+        return plan
+
+    def __len__(self):
+        return len(self.var)
+
+    def __iter__(self):
+        a = self.args
+        rows = zip(self.var.tolist(), a.vars.tolist(), a.arity.tolist(), a.tidx.tolist())
+        for var, args, k, t in rows:
+            yield Forcing(var, tuple(args[:k]), a.tables[t])
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if type(other) is Plan else NotImplemented
+
+    def __repr__(self):
+        return f"Plan({tuple(self)!r})"
+
+
+class _Blocks(NamedTuple):
+    """Term rows and forcings over slots, cut into blocks placed whole:
+    block b is rows row_cut[b]:row_cut[b+1] and forcings
+    forcing_cut[b]:forcing_cut[b+1]."""
+
+    rows: _Rows
+    forcings: Plan
+    row_cut: np.ndarray
+    forcing_cut: np.ndarray
+
+
+def _stamp(blocks: _Blocks, which, maps: np.ndarray, map_rows=None) -> _Blocks:
+    """Copy i of block which[i] renamed through map row maps[map_rows[i]]
+    (row i by default); the copies, in order, are the result's blocks.
+
+    A map row lists the id of each slot and ends in -1, which the -1 pads
+    index; each map row must be injective.  All copies' terms are one fancy
+    index of the blocks' columns through the maps, and so are their forcings.
     """
-    renamed = [tuple([mapping[v] for v in t.vars]) for t in terms]
-    if len(set().union(*renamed)) != len(set().union(*(t.vars for t in terms))):
-        raise ModelError("renaming maps two term variables to one")
-    new, set_field = object.__new__, object.__setattr__
-    copies = []
-    for t, vars_ in zip(terms, renamed):
-        copy = new(EnergyTerm)
-        set_field(copy, "vars", vars_)
-        set_field(copy, "table", t.table)
-        copies.append(copy)
-    return copies
+    if _repeats(maps).any():
+        raise ModelError("placement maps two variables to one")
+    which = np.asarray(which, dtype=np.intp)
+    map_rows = np.arange(len(which)) if map_rows is None else np.asarray(map_rows)
+
+    def copies(rows: _Rows, cut):
+        sizes = (cut[1:] - cut[:-1])[which]
+        ends = sizes.cumsum()
+        copy = np.repeat(np.arange(len(which)), sizes)
+        picks = np.arange(len(copy)) + (cut[which] + sizes - ends)[copy]
+        at = map_rows[copy]
+        placed = _Rows(maps[at[:, None], rows.vars[picks]], rows.arity[picks], rows.tidx[picks],
+                       rows.tables)
+        return placed, picks, at, np.concatenate(([0], ends))
+
+    rows, _, _, row_cut = copies(blocks.rows, blocks.row_cut)
+    args, picks, at, forcing_cut = copies(blocks.forcings.args, blocks.forcing_cut)
+    forcings = Plan._of(maps[at, blocks.forcings.var[picks]], args)
+    return _Blocks(rows, forcings, row_cut, forcing_cut)
 
 
-@dataclass(frozen=True)
+def _slot_blocks(parts) -> _Blocks:
+    """The terms and plans of (model, plan) pairs over slots, one block per
+    pair; a variable's slot is its index among its model's sorted ids."""
+    terms, plans = [], []
+    for model, plan in parts:
+        ids = np.sort(model._ids)
+        terms.append(model._terms._replace(vars=_row_of(ids, model._terms.vars)))
+        args = plan.args._replace(vars=_row_of(ids, plan.args.vars))
+        plans.append(Plan._of(_row_of(ids, plan.var), args))
+    return _Blocks(
+        _concat(terms),
+        Plan._of(np.concatenate([p.var for p in plans]), _concat([p.args for p in plans])),
+        np.array([0, *accumulate(len(t.arity) for t in terms)]),
+        np.array([0, *accumulate(len(p) for p in plans)]),
+    )
+
+
+def _map_array(rows) -> np.ndarray:
+    """Slot-to-id map rows of any lengths as one array for `_stamp`."""
+    lengths = [len(r) for r in rows]
+    return _padded(_ids([v for r in rows for v in r]), lengths, max(lengths, default=0) + 1)
+
+
+def _check(ids, terms=None, clamp_ids=_NO_IDS, clamp_bits=(), lines=None):
+    """The bulk checks of `_build`: raise ModelError for the first fault, in
+    the order of the object constructors -- duplicate or negative ids, then
+    the terms, then the clamps.
+
+    A dump passes `lines`, the line of each VAR, TERM and CLAMP row: an id
+    then counts as declared only by a VAR on an earlier line, and the fault
+    on the earliest line raises DumpFormatError at that line.
+    """
+    n_terms = 0 if terms is None else len(terms.arity)
+    faults = []  # (line or order, message)
+    known, known_line = ids, lines and lines[0]
+    if not (ids[1:] > ids[:-1]).all():  # else: no duplicates, already sorted
+        order = np.argsort(ids, kind="stable")
+        first = np.ones(len(ids), dtype=bool)
+        first[1:] = ids[order][1:] != ids[order][:-1]
+        known, order = ids[order][first], order[first]
+        known_line = lines and lines[0][order]
+        again = np.ones(len(ids), dtype=bool)
+        again[order] = False
+        r = np.argmax(again)
+        if again[r]:
+            faults.append((lines[0][r] if lines else 0, "duplicate variable ids"))
+    if len(ids) and known[0] < 0:
+        r = np.argmax(ids < 0)
+        message = f"variable id must be non-negative, got {ids[r]}"
+        faults.append((lines[0][r] if lines else 0, message))
+
+    def undeclared(vals, at):
+        if not len(known):
+            return np.ones(vals.shape, dtype=bool)
+        if not lines and known[-1] - known[0] == len(known) - 1:  # every id in a range
+            return (vals < known[0]) | (vals > known[-1])
+        p = np.minimum(np.searchsorted(known, vals), len(known) - 1)
+        return (known[p] != vals) | (known_line[p] >= at) if lines else known[p] != vals
+
+    if n_terms:
+        t = terms
+        at = lines[1][:, None] if lines else None
+        missing = undeclared(t.vars, at) & (np.arange(K_MAX) < t.arity[:, None])
+        repeated = _repeats(t.vars)
+        # each table's arity by its size (a power of two), else -1
+        arity_of = [n.bit_length() - 1 if n > 1 and n & (n - 1) == 0 else -1
+                    for n in map(len, t.tables)]
+        fits = np.array(arity_of, dtype=np.int64)[t.tidx] == t.arity
+        bad = missing.any(axis=1) | repeated | ~fits
+        if bad.any():
+            r = np.argmax(bad)
+            k = int(t.arity[r])
+            absent = sorted(set(t.vars[r][missing[r]].tolist()))
+            faults.append((lines[1][r] if lines else 1 + r,
+                           f"term references undeclared variables {absent}" if absent else
+                           f"term variables must be distinct: {tuple(t.vars[r, :k].tolist())}"
+                           if repeated[r] else
+                           f"term arity {k} outside 1..{K_MAX}; decompose first" if k < 1 else
+                           f"table for arity {k} needs {1 << k} entries, "
+                           f"got {len(t.tables[t.tidx[r]])}"))
+    if len(clamp_ids):
+        missing = undeclared(clamp_ids, lines[2] if lines else None)
+        off = np.array([b not in (0, 1) for b in clamp_bits], dtype=bool)
+        srt = np.argsort(clamp_ids, kind="stable")
+        again = np.zeros(len(clamp_ids), dtype=bool)
+        again[srt[1:][clamp_ids[srt][1:] == clamp_ids[srt][:-1]]] = True
+        bad = missing | off | again
+        if bad.any():
+            r = np.argmax(bad)
+            faults.append((lines[2][r] if lines else 1 + n_terms + r,
+                           f"clamp on undeclared variable {clamp_ids[r]}" if missing[r]
+                           else f"clamp value must be 0 or 1, got {clamp_bits[r]}" if off[r]
+                           else f"variable {clamp_ids[r]} is already clamped"))
+    if faults:
+        line, message = min(faults, key=lambda fault: fault[0])
+        raise DumpFormatError(int(line), message) if lines else ModelError(message)
+
+
+def _build(ids, roles, labels, terms: _Rows, clamp_ids=_NO_IDS, clamp_bits=(), lines=None,
+           model=None) -> "EnergyModel":
+    """The one checking constructor: a model from columns (`roles` are codes
+    into ROLES), checked by `_check`."""
+    _check(ids, terms, clamp_ids, clamp_bits, lines)
+    model = object.__new__(EnergyModel) if model is None else model
+    model._ids, model._roles, model._labels, model._terms = ids, roles, labels, terms
+    model.clamps = dict(zip(clamp_ids.tolist(), clamp_bits))
+    return model
+
+
 class EnergyModel:
-    """Declared variables, k-local terms, and clamped bits.
-
-    Treat instances as immutable; `with_terms` / `with_clamps` build
-    modified copies.
+    """Declared variables, k-local terms, and clamped bits, in columns (see
+    the module docstring); `.variables` and `.terms` give back equal
+    objects.  Treat instances as immutable; `with_terms` / `with_clamps`
+    build modified copies.
     """
 
-    variables: tuple[Variable, ...]
-    terms: tuple[EnergyTerm, ...] = ()
-    clamps: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("_ids", "_roles", "_labels", "_terms", "clamps")
+    __hash__ = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "clamps", dict(self.clamps))
-        ids = [v.id for v in self.variables]
-        declared = set(ids)
-        if len(ids) != len(declared):
-            raise ModelError("duplicate variable ids")
-        self._check_terms(self.terms, declared)
-        self._check_clamps(self.clamps, declared)
+    def __init__(self, variables, terms=(), clamps=None):
+        variables, terms, clamps = tuple(variables), tuple(terms), dict(clamps or {})
+        _build(
+            _ids([v.id for v in variables]),
+            np.array([_ROLE_CODE[v.role] for v in variables], dtype=np.int8),
+            [v.label for v in variables],
+            _rows_of([t.vars for t in terms], [t.table for t in terms]),
+            _ids(list(clamps)), list(clamps.values()), model=self,
+        )
 
-    @staticmethod
-    def _check_terms(terms, declared):
-        for t in terms:
-            undecl = set(t.vars) - declared
-            if undecl:
-                raise ModelError(f"term references undeclared variables {sorted(undecl)}")
+    @property
+    def variables(self) -> tuple[Variable, ...]:
+        return tuple(
+            Variable(v, ROLES[code], label)
+            for v, code, label in zip(self._ids.tolist(), self._roles.tolist(), self._labels)
+        )
 
-    @staticmethod
-    def _check_clamps(clamps, declared):
-        for v, b in clamps.items():
-            if v not in declared:
-                raise ModelError(f"clamp on undeclared variable {v}")
-            if b not in (0, 1):
-                raise ModelError(f"clamp value must be 0 or 1, got {b}")
+    @property
+    def terms(self) -> tuple[EnergyTerm, ...]:
+        t = self._terms
+        return tuple(
+            EnergyTerm(tuple(ids[:k]), t.tables[i])
+            for ids, k, i in zip(t.vars.tolist(), t.arity.tolist(), t.tidx.tolist())
+        )
 
-    def _copy(self, terms, clamps) -> "EnergyModel":
-        """A model over the same variables, skipping `__post_init__`: the
-        caller has checked whatever it changed."""
+    def __eq__(self, other):
+        if type(other) is not EnergyModel:
+            return NotImplemented
+        a, b = self._terms, other._terms
+        return (
+            np.array_equal(self._ids, other._ids)
+            and np.array_equal(self._roles, other._roles)
+            and self._labels == other._labels
+            and self.clamps == other.clamps
+            and np.array_equal(a.vars, b.vars)
+            and [a.tables[i] for i in a.tidx.tolist()] == [b.tables[i] for i in b.tidx.tolist()]
+        )
+
+    def __repr__(self):
+        return (f"EnergyModel(variables={self.variables!r}, terms={self.terms!r}, "
+                f"clamps={self.clamps!r})")
+
+    def _copy(self, terms: _Rows, clamps) -> "EnergyModel":
+        """A model over the same variables, unchecked: the caller has
+        checked whatever it changed."""
         copy = object.__new__(EnergyModel)
-        object.__setattr__(copy, "variables", self.variables)
-        object.__setattr__(copy, "terms", terms)
-        object.__setattr__(copy, "clamps", clamps)
+        copy._ids, copy._roles, copy._labels = self._ids, self._roles, self._labels
+        copy._terms, copy.clamps = terms, clamps
         return copy
+
+    def _rows(self, ids) -> np.ndarray:
+        """The value-matrix rows (id order) of declared ids."""
+        return _row_of(np.sort(self._ids), np.asarray(ids, dtype=np.int64))
 
     @property
     def var_ids(self) -> tuple[int, ...]:
-        return tuple(sorted(v.id for v in self.variables))
+        return tuple(np.sort(self._ids).tolist())
 
     @property
     def free_vars(self) -> tuple[int, ...]:
         return tuple(v for v in self.var_ids if v not in self.clamps)
 
     def variable(self, var_id: int) -> Variable:
-        for v in self.variables:
-            if v.id == var_id:
-                return v
-        raise ModelError(f"unknown variable {var_id}")
+        if var_id not in self._ids.tolist():
+            raise ModelError(f"unknown variable {var_id}")
+        i = self._ids.tolist().index(var_id)
+        return Variable(var_id, ROLES[self._roles[i]], self._labels[i])
 
     def with_terms(self, extra) -> "EnergyModel":
         """A copy with `extra` terms appended; only those are checked."""
         extra = tuple(extra)
-        self._check_terms(extra, {v.id for v in self.variables})
-        return self._copy(self.terms + extra, dict(self.clamps))
+        rows = _rows_of([t.vars for t in extra], [t.table for t in extra])
+        _check(self._ids, rows)
+        return self._copy(_concat([self._terms, rows]), dict(self.clamps))
 
     def with_clamps(self, extra: dict[int, int]) -> "EnergyModel":
         """A copy with `extra` clamps (masked to a bit) merged in; only those
         are checked."""
         clamps = {v: b & 1 for v, b in extra.items()}
-        self._check_clamps(clamps, {v.id for v in self.variables})
+        _check(self._ids, clamp_ids=_ids(list(clamps)), clamp_bits=list(clamps.values()))
         merged = dict(self.clamps)
         for v, b in clamps.items():
             if merged.setdefault(v, b) != b:
                 raise ModelError(f"conflicting clamp on variable {v}")
-        return self._copy(self.terms, merged)
+        return self._copy(self._terms, merged)
 
 
 @dataclass(frozen=True)
@@ -276,69 +539,74 @@ class SpectrumReport:
 
 def total_energy(model: EnergyModel, assignment: Assignment) -> Fraction:
     """Sum of all term-table lookups under a total assignment."""
-    missing = [v for v in model.var_ids if v not in assignment]
+    ids = model.var_ids
+    missing = [v for v in ids if v not in assignment]
     if missing:
         raise IncompleteAssignmentError(f"assignment missing variables {missing[:8]}")
     for v, b in model.clamps.items():
         if assignment[v] != b:
             raise ModelError(f"assignment violates clamp {v}={b}")
-    e = Fraction(0)
-    for t in model.terms:
-        e += t.table[t.index(assignment)]
-    return e
+    t = model._terms
+    # every variable's bit in id order, then a 0 that the pads (-1) read
+    bits = np.array([assignment[v] & 1 for v in ids] + [0], dtype=np.int64)
+    index = (bits[model._rows(t.vars)] << np.arange(K_MAX)).sum(axis=1)
+    return sum((t.tables[i][x] for i, x in zip(t.tidx.tolist(), index.tolist())), Fraction(0))
 
 
 def _integer_terms(model: EnergyModel):
     """The model's terms over a common denominator with the clamps folded
-    out: (denom, offset, [(vars, integer table)]).
+    out: (denom, offset, `_Rows` with integer tables).
 
     `denom` is the least common denominator of every table entry; each
-    distinct table object is scaled once.  A term touching a clamp keeps
-    its free variables and the entries its clamped bits select (folded once
-    per distinct table and clamp pattern); a term the clamps fix entirely
-    adds its one entry to the integer `offset` instead.
+    distinct table is scaled once.  A term touching a clamp keeps its free
+    variables, in order, and the entries its clamped bits select (folded
+    once per distinct table and clamp pattern); a term the clamps fix
+    entirely adds its one entry to the integer `offset` instead.
     """
-    distinct = {id(t.table): t.table for t in model.terms}
-    denoms = set()
-    for table in distinct.values():
-        denoms.update(e.denominator for e in table)
+    terms = model._terms
+    denoms = {e.denominator for table in terms.tables for e in table}
     denom = lcm(*denoms)
     scale = {d: denom // d for d in denoms}
-    scaled = {
-        key: tuple(e.numerator * scale[e.denominator] for e in table)
-        for key, table in distinct.items()
-    }
+    scaled = [tuple([e.numerator * scale[e.denominator] for e in table]) for table in terms.tables]
+    tables = tuple(scaled)
     clamps = model.clamps
-    clamped = clamps.keys()
-    offset = 0
-    terms = []
-    # (table id, clamped positions, clamped bits) -> folded table; `scaled`
-    # keeps every table alive, so no id is reused during the call
-    folds: dict[tuple[int, int, int], tuple[int, ...]] = {}
-    for t in model.terms:
-        table = scaled[id(t.table)]
-        if clamped.isdisjoint(t.vars):
-            terms.append((t.vars, table))
-            continue
+    if not clamps or not len(terms.arity):
+        return denom, 0, terms._replace(tables=tables)
+    ids = np.sort(model._ids)
+    # each row's clamp bit, -1 when free, and a last -1 that the pads read
+    bit = np.full(len(ids) + 1, -1, dtype=np.int64)
+    bit[_row_of(ids, np.array(list(clamps), dtype=np.int64))] = list(clamps.values())
+    touched = np.flatnonzero((bit[_row_of(ids, terms.vars)] >= 0).any(axis=1))
+    if not len(touched):
+        return denom, 0, terms._replace(tables=tables)
+    # each touched term keeps its free variables; its table is folded once
+    # per distinct (table, clamped positions, clamped bits)
+    folds: dict[tuple[int, int, int], int] = {}
+    offset, free, index = 0, [], []
+    for row, k, t in zip(*(c[touched].tolist() for c in (terms.vars, terms.arity, terms.tidx))):
         mask = bits = 0
-        for j, v in enumerate(t.vars):
+        for j, v in enumerate(row[:k]):
             if v in clamps:
                 mask |= 1 << j
                 bits |= clamps[v] << j
-        key = (id(table), mask, bits)
-        folded = folds.get(key)
-        if folded is None:
-            keep = [j for j in range(len(t.vars)) if not mask >> j & 1]
-            folded = folds[key] = tuple(
-                table[bits | sum((i >> a & 1) << j for a, j in enumerate(keep))]
-                for i in range(1 << len(keep))
-            )
-        free = tuple([v for v in t.vars if v not in clamps])
-        if free:
-            terms.append((free, folded))
-        else:
-            offset += folded[0]
-    return denom, offset, terms
+        i = folds.get((t, mask, bits))
+        if i is None:
+            keep = [j for j in range(k) if not mask >> j & 1]
+            i = folds[t, mask, bits] = len(tables)
+            tables += (tuple(
+                scaled[t][bits | sum((x >> a & 1) << j for a, j in enumerate(keep))]
+                for x in range(1 << len(keep))
+            ),)
+        free.append([v for v in row[:k] if v not in clamps])
+        index.append(i)
+        if not free[-1]:
+            offset += tables[i][0]
+    vars_, arity, tidx = terms.vars.copy(), terms.arity.copy(), terms.tidx.copy()
+    arity[touched] = [len(f) for f in free]
+    vars_[touched] = _padded([v for f in free for v in f], arity[touched])
+    tidx[touched] = index
+    kept = arity > 0
+    return denom, offset, _Rows(vars_[kept], arity[kept], tidx[kept], tables)
 
 
 # Bytes of working arrays per block of scanned masks.
@@ -347,33 +615,47 @@ _BLOCK_BYTES = 1 << 20
 _INT64_BOUND = 1 << 62
 
 
-def _scan(model: EnergyModel, plan, cap: int):
-    """Score every root mask, extending it by `plan`'s forcings (var, args,
-    table), given in topological order.
+def _scan(model: EnergyModel, plan: Plan | None, cap: int):
+    """Score every root mask, extending it by `plan`'s forcings, given in
+    topological order.
 
-    Returns (denom, roots, blocks); root i is bit i of a mask.  `blocks`
-    yields (bits, alive, energy) per block with at least one alive mask:
-    `energy` holds the integer energies over denom of the block's masks in
-    increasing order, `alive` is False where a forced value contradicts a
-    clamp, and `bits(vars, cols)` gives the listed variables' values (one
-    uint8 row each; every variable in id order when vars is None) at the
-    block columns `cols`, a boolean mask or a slice.
+    Returns (denom, keys, blocks); root i is bit i of a mask.  `keys` lists
+    the clamped variables, then the roots, then the forced variables in
+    plan order.  `blocks` yields (bits, alive, energy) per block with at
+    least one alive mask: `energy` holds the integer energies over denom of
+    the block's masks in increasing order, `alive` is False where a forced
+    value contradicts a clamp, and `bits(rows, cols)` gives the values of
+    the variables at the listed value-matrix rows (one uint8 row each; every
+    variable in id order when rows is None) at the block columns `cols`, a
+    boolean mask or a slice.
     """
-    forced = {f.var for f in plan}
-    roots = [v for v in model.free_vars if v not in forced]
+    ids = np.sort(model._ids)
+    n = len(ids)
+    clamps = model.clamps
+    clamp_rows = _row_of(ids, np.array(list(clamps), dtype=np.int64))
+    clamp_vals = np.array(list(clamps.values()), dtype=np.uint8)
+    clamp_at = np.zeros(n, dtype=np.uint8)
+    clamp_at[clamp_rows] = clamp_vals
+    clamped = np.zeros(n, dtype=bool)
+    clamped[clamp_rows] = True
+    root = ~clamped
+    forced = []
+    if plan:
+        var_rows = _row_of(ids, plan.var)
+        if not np.array_equal(ids[np.minimum(var_rows, n - 1)], plan.var):
+            raise ModelError("forcing plan assigns an undeclared variable")
+        root[var_rows] = False
+        forced = plan.var[~clamped[var_rows]].tolist()
+    root_rows = np.flatnonzero(root)
+    roots = ids[root_rows].tolist()
     if roots and (1 << len(roots)) > cap:
         raise CapacityError(
             f"{len(roots)} free variables require {1 << len(roots)} states, cap is {cap}; "
             "shrink the model, clamp inputs, or use the annealer"
         )
-    clamps = model.clamps
-    row = {v: i for i, v in enumerate(model.var_ids)}
-    forcings = _forcing_groups(plan, roots, clamps, row)
+    forcings = _forcing_groups(plan, ids, root_rows, clamped, clamp_at) if plan else []
     denom, offset, terms = _integer_terms(model)
-    energy_dtype, groups = _term_groups(terms, row, offset)
-    root_rows = [row[v] for v in roots]
-    clamp_rows = [row[v] for v in clamps]
-    gathered, blind = _blind_terms(groups, len(row), root_rows)
+    energy_dtype, gathered, blind = _term_groups(terms, ids, offset, root_rows)
 
     # Blocks are aligned runs of 2**b masks: the low b roots vary within a
     # block and the high roots are fixed by its number.  A scan with
@@ -383,13 +665,14 @@ def _scan(model: EnergyModel, plan, cap: int):
     if forcings:
         widest = max([3 * len(g[1]) for g in forcings] + [0])
         widest = max([(2 + energy_dtype.itemsize) * len(g[1]) for g in gathered] + [widest])
-        per_mask = len(row) + 16 * len(roots) + widest + 32
+        per_mask = n + 16 * len(roots) + widest + 32
     b = min(len(roots), max(1, _BLOCK_BYTES // per_mask).bit_length() - 1)
     size = 1 << b
     addends = [_block_addend(key, table, b) for key, table in blind.items()]
     shifts = np.arange(len(roots), dtype=np.int64)[:, None]
-    clamp_vals = np.array(list(clamps.values()), dtype=np.uint8)[:, None]
-    root_bit = {v: i for i, v in enumerate(roots)}
+    root_list, clamp_list = [-1] * n, clamp_at.tolist()
+    for i, r in enumerate(root_rows.tolist()):
+        root_list[r] = i
 
     def blocks():
         for number in range(1 << (len(roots) - b)):
@@ -397,8 +680,8 @@ def _scan(model: EnergyModel, plan, cap: int):
             alive = np.ones(size, dtype=bool)
             if forcings:
                 masks = np.arange(start, start + size, dtype=np.int64)
-                vals = np.empty((len(row), size), dtype=np.uint8)
-                vals[clamp_rows] = clamp_vals
+                vals = np.empty((n, size), dtype=np.uint8)
+                vals[clamp_rows] = clamp_vals[:, None]
                 vals[root_rows] = (masks >> shifts) & 1
                 for arg_cols, tables, out_rows, clamp_col in forcings:
                     got = _gather(tables, vals, arg_cols)
@@ -408,9 +691,9 @@ def _scan(model: EnergyModel, plan, cap: int):
                         alive &= (got == clamp_col).all(axis=0)
                 if not alive.any():
                     continue
-                bits = partial(_matrix_bits, vals, row)
+                bits = partial(_matrix_bits, vals)
             else:
-                bits = partial(_mask_bits, start, size, root_bit, clamps, row)
+                bits = partial(_mask_bits, start, size, root_list, clamp_list)
             energy = np.full((2,) * b, offset, dtype=energy_dtype)
             for tables, high in addends:
                 hi = 0
@@ -422,7 +705,7 @@ def _scan(model: EnergyModel, plan, cap: int):
                 energy += _gather(tables, vals, arg_cols).sum(axis=0)
             yield bits, alive, energy
 
-    return denom, roots, blocks()
+    return denom, list(clamps) + roots + forced, blocks()
 
 
 def _block_addend(key, table, b):
@@ -442,20 +725,20 @@ def _block_addend(key, table, b):
     return table.reshape((1 << len(high), *shape)), high
 
 
-def _matrix_bits(vals, row, vars_, cols):
-    """`bits` of a block with a value matrix: the listed variables' rows."""
+def _matrix_bits(vals, rows, cols):
+    """`bits` of a block with a value matrix: the listed rows."""
     picked = vals[:, cols]
-    return picked if vars_ is None else picked[[row[v] for v in vars_]]
+    return picked if rows is None else picked[rows]
 
 
-def _mask_bits(start, size, root_bit, clamps, row, vars_, cols):
+def _mask_bits(start, size, root_at, clamp_at, rows, cols):
     """`bits` of a blind block: root bits read from the masks, clamps
-    repeated."""
-    vars_ = list(row) if vars_ is None else vars_
+    repeated (`root_at` and `clamp_at` are lists over the rows)."""
+    rows = range(len(root_at)) if rows is None else rows.tolist()
     masks = np.arange(start, start + size, dtype=np.int64)[cols]
-    out = np.empty((len(vars_), len(masks)), dtype=np.uint8)
-    for i, v in enumerate(vars_):
-        out[i] = clamps[v] if v in clamps else (masks >> root_bit[v]) & 1
+    out = np.empty((len(rows), len(masks)), dtype=np.uint8)
+    for i, r in enumerate(rows):
+        out[i] = clamp_at[r] if root_at[r] < 0 else (masks >> root_at[r]) & 1
     return out
 
 
@@ -471,7 +754,7 @@ def _gather(tables, vals, arg_cols):
     return np.take_along_axis(tables, idx, axis=1)
 
 
-def _forcing_groups(plan, roots, clamps, row):
+def _forcing_groups(plan: Plan, ids, root_rows, clamped, clamp_at):
     """Stack the plan's forcings by (topological level, arity, clamped).
 
     A forcing's level is one more than the highest level among its args;
@@ -481,92 +764,109 @@ def _forcing_groups(plan, roots, clamps, row):
     column); a group of clamped variables is checked against the clamps
     instead of written.
     """
-    level = dict.fromkeys(roots, 0)
-    level.update(dict.fromkeys(clamps, 0))
-    groups: dict[tuple, list] = {}
-    for f in plan:
-        if f.var in level and f.var not in clamps:
-            raise ModelError(f"forcing plan assigns variable {f.var} twice")
-        lvl = 1 + max((level[a] for a in f.args), default=0)
-        if f.var not in clamps:
-            level[f.var] = lvl
-        groups.setdefault((lvl, len(f.args), f.var in clamps), []).append(f)
-    out = []
-    for (_, _, clamped), fs in sorted(groups.items()):
-        tables = np.array([f.table for f in fs], dtype=np.uint8)
-        out_rows = np.array([row[f.var] for f in fs], dtype=np.intp)
-        clamp_col = None
-        if clamped:
-            clamp_col = np.array([clamps[f.var] for f in fs], dtype=np.uint8)[:, None]
-        out.append((_arg_cols([f.args for f in fs], row), tables, out_rows, clamp_col))
-    return out
-
-
-def _term_groups(terms, row, offset):
-    """The integer terms of `_integer_terms` stacked by arity: (dtype,
-    groups).
-
-    Energies are summed in int64 when no sum of the offset and one entry
-    per term can reach 2**62, and as Python ints (dtype object) otherwise.
-    """
-    # each arity's distinct tables are converted to an array once; every
-    # term picks its table's row of that stack
-    stacks: dict[int, list] = {}
-    stack_row: dict[int, int] = {}
-    peak: dict[int, int] = {}
-    by_arity: dict[int, list] = {}
-    bound = abs(offset)
-    for vars_, table in terms:
-        key = id(table)
-        if key not in stack_row:
-            stack = stacks.setdefault(len(vars_), [])
-            stack_row[key] = len(stack)
-            stack.append(table)
-            peak[key] = max(max(table), -min(table))
-        bound += peak[key]
-        by_arity.setdefault(len(vars_), []).append((vars_, stack_row[key]))
-    dtype = np.dtype(np.int64 if bound < _INT64_BOUND else object)
+    n, args, count = len(ids), plan.args, len(plan)
+    width = max(2, int(args.arity.max(initial=0)))
+    # value-matrix rows; the pads read an extra row n, which is set at level 0
+    out = _row_of(ids, plan.var)
+    arg_rows = np.where(args.vars[:, :width] >= 0, _row_of(ids, args.vars[:, :width]), n)
+    on_clamp = clamped[out]
+    free = np.flatnonzero(~on_clamp)
+    if len(np.unique(out[free])) < len(free):
+        seen = set()
+        for i in free.tolist():
+            if out[i] in seen:
+                raise ModelError(f"forcing plan assigns variable {int(plan.var[i])} twice")
+            seen.add(out[i])
+    set_at = np.full(n + 1, count)
+    set_at[root_rows] = set_at[np.flatnonzero(clamped)] = set_at[n] = -1
+    set_at[out[free]] = free
+    if (set_at[arg_rows] >= np.arange(count)[:, None]).any():
+        raise ModelError("forcing plan reads a variable before a forcing sets it")
+    # Levels in plan order, as steps level[dst] = max(level[x], level[y]) +
+    # inc: a forcing's args are folded pairwise through a spare slot n + 1,
+    # and a clamped variable's level goes to a slot of its own past n + 1.
+    dest = out.copy()
+    dest[on_clamp] = n + 2 + np.arange(count - len(free))
+    steps = np.full((4, count, width - 1), n + 1, dtype=np.int64)
+    steps[0, :, -1] = dest
+    steps[1, :, 0] = arg_rows[:, 0]
+    steps[2] = arg_rows[:, 1:]
+    steps[3] = 0
+    steps[3, :, -1] = 1
+    level = [0] * (n + 2 + count - len(free))
+    for dst, x, y, inc in zip(*steps.reshape(4, -1).tolist()):
+        x, y = level[x], level[y]
+        level[dst] = (x if x > y else y) + inc
+    lvl = np.array(level)[dest]
+    # every table padded to the widest: a group's indices stay below its own size
+    tables = np.zeros((len(args.tables), 1 << width), dtype=np.uint8)
+    for i, table in enumerate(args.tables):
+        tables[i, : len(table)] = table
+    # one sort by (level, arity, clamped); each group is a run of it
+    key = (lvl * (K_MAX + 1) + args.arity) * 2 + on_clamp
+    order = np.argsort(key, kind="stable")
+    key, out, arg_rows, tables = key[order], out[order], arg_rows[order], tables[args.tidx[order]]
+    cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
     groups = []
-    for arity, ts in sorted(by_arity.items()):
-        picks = np.array([r for _, r in ts], dtype=np.intp)
-        tables = np.array(stacks[arity], dtype=dtype)[picks]
-        groups.append((_arg_cols([vars_ for vars_, _ in ts], row), tables))
-    return dtype, groups
+    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), count]):
+        k, fixed = int(key[a]) // 2 % (K_MAX + 1), bool(key[a] & 1)
+        clamp_col = clamp_at[out[a:b]][:, None] if fixed else None
+        groups.append((arg_rows[a:b, :k].T, tables[a:b], out[a:b], clamp_col))
+    return groups
 
 
-def _blind_terms(groups, n_rows, root_rows):
-    """Split the stacked terms of `_term_groups`: (gathered, blind).
+def _row_of(ids, vals):
+    """The positions in the sorted `ids` (value-matrix rows) of declared ids,
+    with the -1 pads kept; compiled models number their variables 0..n-1,
+    so there rows are ids."""
+    if len(ids) and ids[-1] == len(ids) - 1:
+        return vals
+    return np.where(vals >= 0, np.searchsorted(ids, vals), -1)
+
+
+def _term_groups(terms: _Rows, ids, offset, root_rows):
+    """Split the integer terms of `_integer_terms`: (dtype, gathered, blind).
 
     A term whose variables are all roots is blind: it becomes an array over
     its roots (`_root_table`), and the blind terms over one set of roots
     are summed into one array, keyed by those roots in descending order.
-    The other terms stay stacked by arity for `_gather`.  The test is one
-    vectorized pass per arity, so a scan whose every term touches a forced
+    The other terms are gathered: stacked by arity as (arg rows per
+    position, tables) for `_gather`.  `ids` are the model's ids in
+    value-matrix (id) order and `root_rows` the roots' rows.  The split is
+    one vectorized test, so a scan whose every term touches a forced
     variable pays no Python work per term.
+
+    Energies are summed in int64 when no sum of the offset and one entry
+    per term can reach 2**62, and as Python ints (dtype object) otherwise.
     """
-    # per value-matrix row: the root's index, else -1
-    root_at = np.full(n_rows, -1, dtype=np.intp)
+    tables, tidx, arity = terms.tables, terms.tidx, terms.arity
+    uses = np.bincount(tidx, minlength=len(tables)).tolist()
+    bound = abs(offset) + sum(
+        n * max(max(table), -min(table)) for table, n in zip(tables, uses) if n
+    )
+    dtype = np.dtype(np.int64 if bound < _INT64_BOUND else object)
+    rows = _row_of(ids, terms.vars)
+    # per value-matrix row its root's index, else -1; the pads read the last entry
+    root_at = np.full(len(ids) + 1, -1, dtype=np.intp)
     root_at[root_rows] = np.arange(len(root_rows))
-    blind_row = root_at >= 0
-    gathered = []
+    at = root_at[rows]
+    is_blind = ((at >= 0) | (rows < 0)).all(axis=1)
     blind: dict[tuple, np.ndarray] = {}
-    for arg_cols, tables in groups:
-        is_blind = blind_row[arg_cols[0]]
-        for c in arg_cols[1:]:
-            is_blind = is_blind & blind_row[c]
-        if is_blind.any():
-            picked = np.flatnonzero(is_blind)
-            cols = np.array([c[picked] for c in arg_cols]).T
-            for table, roots in zip(tables[picked], root_at[cols].tolist()):
-                key, table = _root_table(table, roots)
-                if key in blind:
-                    blind[key] += table
-                else:
-                    blind[key] = table.copy()
-            arg_cols, tables = [c[~is_blind] for c in arg_cols], tables[~is_blind]
-        if len(tables):
-            gathered.append((arg_cols, tables))
-    return gathered, blind
+    for roots, k, t in zip(*(col[is_blind].tolist() for col in (at, arity, tidx))):
+        key, table = _root_table(np.array(tables[t], dtype=dtype), roots[:k])
+        if key in blind:
+            blind[key] += table
+        else:
+            blind[key] = table
+    gathered = []
+    for k in sorted(set(arity[~is_blind].tolist())):
+        sel = np.flatnonzero(~is_blind & (arity == k))
+        used = sorted(set(tidx[sel].tolist()))
+        stack_row = np.zeros(len(tables), dtype=np.intp)
+        stack_row[used] = np.arange(len(used))
+        stack = np.array([tables[i] for i in used], dtype=dtype)
+        gathered.append(([rows[sel, j] for j in range(k)], stack[stack_row[tidx[sel]]]))
+    return dtype, gathered, blind
 
 
 def _root_table(table, roots):
@@ -578,23 +878,15 @@ def _root_table(table, roots):
     return tuple(axes[a] for a in order), table.reshape((2,) * len(roots)).transpose(order)
 
 
-def _arg_cols(arg_lists, row):
-    """Per argument position, the value-matrix rows of every stacked table."""
-    return [
-        np.array([row[args[j]] for args in arg_lists], dtype=np.intp)
-        for j in range(len(arg_lists[0]))
-    ]
-
-
-def _ground_set(model: EnergyModel, plan, cap: int):
+def _ground_matrix(model: EnergyModel, plan: Plan | None, cap: int):
     """Minimum energy over the alive states of `_scan` and every state
-    reaching it, or None when no state is alive.
+    reaching it, as (E0, keys, states), or None when no state is alive.
 
-    States come back sorted lexicographically by variable id; each dict
-    lists the clamps, then the roots, then the forced variables in plan
-    order.
+    `states` has one uint8 row per variable in id order and one column per
+    ground state, the columns sorted lexicographically by variable id;
+    `keys` is `_scan`'s order of the variables.
     """
-    denom, roots, blocks = _scan(model, plan, cap)
+    denom, keys, blocks = _scan(model, plan, cap)
     best = None
     found = []
     for bits, alive, energy in blocks:
@@ -613,12 +905,28 @@ def _ground_set(model: EnergyModel, plan, cap: int):
         packed = np.packbits(states, axis=0).T.copy()
         order = np.argsort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
         states = states[:, order]
-    clamps = model.clamps
-    keys = list(clamps) + roots + [f.var for f in plan if f.var not in clamps]
-    row = {v: i for i, v in enumerate(model.var_ids)}
+    return Fraction(best, denom), keys, states
+
+
+def _as_dicts(model: EnergyModel, keys, states) -> list[Assignment]:
+    """The states of `_ground_matrix` as dicts listing `keys` in order."""
     # one state at a time: a nested list of every state would outgrow the dicts
-    per_state = states[[row[v] for v in keys]].T.copy()
-    return Fraction(best, denom), [dict(zip(keys, s.tolist())) for s in per_state]
+    per_state = states[model._rows(keys)].T.copy()
+    return [dict(zip(keys, s.tolist())) for s in per_state]
+
+
+def _ground_set(model: EnergyModel, plan: Plan | None, cap: int):
+    """`_ground_matrix` with the states as dicts: (E0, [state]), or None.
+
+    States come back sorted lexicographically by variable id; each dict
+    lists the clamps, then the roots, then the forced variables in plan
+    order.
+    """
+    ground = _ground_matrix(model, plan, cap)
+    if ground is None:
+        return None
+    e0, keys, states = ground
+    return e0, _as_dicts(model, keys, states)
 
 
 def enumerate_ground_states(
@@ -630,12 +938,12 @@ def enumerate_ground_states(
     in each returned assignment.  Assignments come back sorted
     lexicographically by variable id.
     """
-    return _ground_set(model, (), cap)
+    return _ground_set(model, None, cap)
 
 
 def spectrum(model: EnergyModel, cap: int = DEFAULT_CAP) -> SpectrumReport:
     """Ground energy, exact degeneracy, and the first excited level if any."""
-    denom, _, blocks = _scan(model, (), cap)
+    denom, _, blocks = _scan(model, None, cap)
     e0 = e1 = None
     count0 = 0
     # without a plan every state is alive
@@ -659,126 +967,198 @@ def spectrum(model: EnergyModel, cap: int = DEFAULT_CAP) -> SpectrumReport:
 def format_model(model: EnergyModel, ports=None) -> str:
     """Render the dump format.  `ports` is an optional list of
     ("in"|"out"|"anc", var_id) pairs appended as PORT lines (gadget dumps)."""
-    lines = []
-    for v in sorted(model.variables, key=lambda v: v.id):
-        line = f"VAR {v.id} {v.role}"
-        if v.label:
-            line += f" {v.label}"
-        lines.append(line)
-    for vid in sorted(model.clamps):
-        lines.append(f"CLAMP {vid} {model.clamps[vid]}")
-    table_text: dict[int, str] = {}  # each distinct table is formatted once
-    for t in model.terms:
-        energies = table_text.get(id(t.table))
-        if energies is None:
-            energies = table_text[id(t.table)] = " ".join(map(str, t.table))
-        lines.append(f"TERM {t.arity} {' '.join(map(str, t.vars))} : {energies}")
-    for kind, vid in ports or ():
-        lines.append(f"PORT {kind} {vid}")
+    ids, roles, labels = model._ids.tolist(), model._roles.tolist(), model._labels
+    lines = [
+        f"VAR {ids[i]} {ROLES[roles[i]]}" + (f" {labels[i]}" if labels[i] else "")
+        for i in np.argsort(model._ids, kind="stable").tolist()
+    ]
+    lines += [f"CLAMP {vid} {model.clamps[vid]}" for vid in sorted(model.clamps)]
+    # each distinct table is formatted once, then the rows arity by arity
+    t = model._terms
+    energies = [" ".join(map(str, table)) for table in t.tables]
+    rows = np.empty(len(t.arity), dtype=object)
+    for k in np.unique(t.arity).tolist():
+        at = np.flatnonzero(t.arity == k)
+        line = f"TERM {k} " + " ".join(["{}"] * k) + " : {}"
+        rows[at] = [line.format(*v, energies[i])
+                    for v, i in zip(t.vars[at, :k].tolist(), t.tidx[at].tolist())]
+    lines += rows.tolist()
+    lines += [f"PORT {kind} {vid}" for kind, vid in ports or ()]
     return "\n".join(lines) + "\n"
 
 
-def _parse_int(token: str, lineno: int, what: str) -> int:
+_ARITY = {str(k): k for k in range(1, K_MAX + 1)}
+
+
+def _as_int(token: str, limit=None) -> int | None:
+    """The token as an int (below `limit` in magnitude), or None."""
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
-        raise DumpFormatError(lineno, f"bad {what} {token!r}") from None
+        return None
+    return value if limit is None or -limit <= value < limit else None
 
 
-def _parse_ref(token: str, lineno: int, declared: set[int]) -> int:
-    vid = _parse_int(token, lineno, "variable id")
-    if vid not in declared:
-        raise DumpFormatError(lineno, f"variable {vid} is not declared by an earlier VAR")
-    return vid
+def _id_column(tokens) -> np.ndarray:
+    """Id tokens as int64; a token that is no id becomes -2**63, which no
+    VAR can declare (it is negative), so its line fails in `_check`."""
+    try:
+        return np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        ids = [_as_int(t, 1 << 63) for t in tokens]
+        return np.array([-(1 << 63) if v is None else v for v in ids], dtype=np.int64)
 
 
-def _parse_energy(token: str, lineno: int, parsed: dict[str, Fraction]) -> Fraction:
-    """`token` as a Fraction; `parsed` keeps the tokens already converted."""
+def _fraction(token: str, parsed: dict[str, Fraction]) -> Fraction:
+    """The token as a Fraction; `parsed` keeps the tokens already converted."""
     value = parsed.get(token)
     if value is None:
-        try:
-            value = parsed[token] = Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            raise DumpFormatError(lineno, f"bad energy {token!r}") from None
+        value = parsed[token] = Fraction(token)
     return value
 
 
+def _line_error(tokens, lineno: int, declared, ports, allow_ports: bool):
+    """Raise what reading line by line raises at a line that fails, given
+    the ids declared and the ports listed on the lines before it."""
+
+    def fail(message):
+        raise DumpFormatError(lineno, message)
+
+    def ref(token):
+        vid = _as_int(token, 1 << 63)
+        if vid is None:
+            fail(f"bad variable id {token!r}")
+        if vid not in declared:
+            fail(f"variable {vid} is not declared by an earlier VAR")
+        return vid
+
+    kind = tokens[0]
+    if kind == "VAR":
+        if len(tokens) < 3:
+            fail("VAR needs <id> <role> [label]")
+        vid = _as_int(tokens[1], 1 << 63)
+        if vid is None:
+            fail(f"bad variable id {tokens[1]!r}")
+        if vid in declared:
+            fail(f"duplicate variable id {vid}")
+        if vid < 0:
+            fail(f"variable id must be non-negative, got {vid}")
+        fail(f"unknown role {tokens[2]!r}")
+    if kind == "CLAMP":
+        if len(tokens) != 3 or tokens[2] not in ("0", "1"):
+            fail("CLAMP needs <id> <0|1>")
+        fail(f"variable {ref(tokens[1])} is already clamped")
+    if kind == "TERM":
+        if len(tokens) < 2:
+            fail("TERM needs an arity")
+        k = _as_int(tokens[1])
+        if k is None:
+            fail(f"bad arity {tokens[1]!r}")
+        if not 1 <= k <= K_MAX:
+            fail(f"arity {k} outside 1..{K_MAX}")
+        if len(tokens) != 3 + k + (1 << k) or tokens[2 + k] != ":":
+            fail(f"TERM {k} needs {k} ids, ':', then {1 << k} energies")
+        vids = tuple(ref(token) for token in tokens[2 : 2 + k])
+        for token in tokens[3 + k :]:
+            try:
+                Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                fail(f"bad energy {token!r}")
+        fail(f"term variables must be distinct: {vids}")
+    if kind == "PORT" and allow_ports:
+        if len(tokens) != 3 or tokens[1] not in ("in", "out", "anc"):
+            fail("PORT needs <in|out|anc> <id>")
+        vid = ref(tokens[2])
+        if any(v == vid for _, v in ports):
+            fail(f"variable {vid} is already a port")
+        fail("a gadget has exactly one out port")
+    fail(f"unknown statement {kind!r}")
+
+
 def parse_statements(text: str, allow_ports: bool = False):
-    """Parse dump statements into (variables, clamps, terms, ports).
+    """Parse dump statements into (model, ports).
 
     Shared by the model and gadget parsers; `#` starts a comment anywhere on
     a line.  A variable id must be declared by a VAR line before a CLAMP,
     TERM or PORT line names it; it may be clamped once and be one port.
     Raises DumpFormatError with a line number on any defect.
+
+    One pass splits the lines into columns, up to the first line that fails
+    on its own; each distinct energy-token list is read once, and each
+    distinct token converted once.  The ids are converted per kind of line
+    and checked by `_build`, the ports after it.  At the first failing line
+    `_line_error` raises what reading line by line raises there.
     """
-    declared: set[int] = set()
-    variables: list[Variable] = []
-    clamps: dict[int, int] = {}
-    terms: list[EnergyTerm] = []
-    ports: list[tuple[str, int]] = []
-    # energy tokens already parsed -> their table, shared by every term
-    # line that repeats them
-    tables: dict[tuple[str, ...], tuple[Fraction, ...]] = {}
-    # energy token -> its value, so each distinct token is converted once
-    energies_parsed: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    # per kind of line: line numbers, id tokens, and the rest of each row
+    var, clamp, port, term = ([], [], []), ([], [], []), ([], [], []), ([], [], [])
+    tables: dict[tuple[str, ...], tuple[int, tuple]] = {}
+    parsed: dict[str, Fraction] = {}
+    stop = len(lines) + 1
+    for lineno, raw in enumerate(lines, start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
-        kind = tokens[0]
-        if kind == "VAR":
-            if len(tokens) < 3:
-                raise DumpFormatError(lineno, "VAR needs <id> <role> [label]")
-            vid = _parse_int(tokens[1], lineno, "variable id")
-            if vid in declared:
-                raise DumpFormatError(lineno, f"duplicate variable id {vid}")
-            try:
-                variables.append(Variable(vid, tokens[2], " ".join(tokens[3:]) or None))
-            except ModelError as exc:
-                raise DumpFormatError(lineno, str(exc)) from None
-            declared.add(vid)
-        elif kind == "CLAMP":
-            if len(tokens) != 3 or tokens[2] not in ("0", "1"):
-                raise DumpFormatError(lineno, "CLAMP needs <id> <0|1>")
-            vid = _parse_ref(tokens[1], lineno, declared)
-            if vid in clamps:
-                raise DumpFormatError(lineno, f"variable {vid} is already clamped")
-            clamps[vid] = int(tokens[2])
-        elif kind == "TERM":
-            if len(tokens) < 2:
-                raise DumpFormatError(lineno, "TERM needs an arity")
-            k = _parse_int(tokens[1], lineno, "arity")
-            if not 1 <= k <= K_MAX:
-                raise DumpFormatError(lineno, f"arity {k} outside 1..{K_MAX}")
-            expected = 2 + k + 1 + (1 << k)
-            if len(tokens) != expected or tokens[2 + k] != ":":
-                raise DumpFormatError(
-                    lineno, f"TERM {k} needs {k} ids, ':', then {1 << k} energies"
-                )
-            vids = tuple(_parse_ref(t, lineno, declared) for t in tokens[2 : 2 + k])
+        kind, n = tokens[0], len(tokens)
+        if kind == "TERM":
+            k = (_ARITY.get(tokens[1]) or _ARITY.get(str(_as_int(tokens[1])))) if n > 1 else None
+            if k is None or n != 3 + k + (1 << k) or tokens[2 + k] != ":":
+                stop = lineno
+                break
             energies = tuple(tokens[3 + k :])
-            table = tables.get(energies)
-            if table is None:
-                table = tables[energies] = tuple(
-                    _parse_energy(t, lineno, energies_parsed) for t in energies
-                )
-            try:
-                terms.append(EnergyTerm(vids, table))
-            except ModelError as exc:
-                raise DumpFormatError(lineno, str(exc)) from None
-        elif kind == "PORT" and allow_ports:
-            if len(tokens) != 3 or tokens[1] not in ("in", "out", "anc"):
-                raise DumpFormatError(lineno, "PORT needs <in|out|anc> <id>")
-            vid = _parse_ref(tokens[2], lineno, declared)
-            if any(v == vid for _, v in ports):
-                raise DumpFormatError(lineno, f"variable {vid} is already a port")
-            if tokens[1] == "out" and any(role == "out" for role, _ in ports):
-                raise DumpFormatError(lineno, "a gadget has exactly one out port")
-            ports.append((tokens[1], vid))
+            if energies not in tables:
+                try:
+                    tables[energies] = len(tables), tuple([_fraction(e, parsed) for e in energies])
+                except (ValueError, ZeroDivisionError):
+                    stop = lineno
+                    break
+            term[0].append(lineno)
+            term[1].extend(tokens[2 : 2 + k])
+            term[2].append((k, tables[energies][0]))
+        elif kind == "VAR" and n >= 3 and tokens[2] in _ROLE_CODE:
+            var[0].append(lineno)
+            var[1].append(tokens[1])
+            var[2].append((_ROLE_CODE[tokens[2]], " ".join(tokens[3:]) or None))
+        elif kind == "CLAMP" and n == 3 and tokens[2] in ("0", "1"):
+            clamp[0].append(lineno)
+            clamp[1].append(tokens[1])
+            clamp[2].append(int(tokens[2]))
+        elif kind == "PORT" and allow_ports and n == 3 and tokens[1] in ("in", "out", "anc"):
+            port[0].append(lineno)
+            port[1].append(tokens[2])
+            port[2].append(tokens[1])
         else:
-            raise DumpFormatError(lineno, f"unknown statement {kind!r}")
-    return variables, clamps, terms, ports
+            stop = lineno
+            break
+    var_at, clamp_at, term_at = (np.array(rows[0], dtype=np.int64) for rows in (var, clamp, term))
+    var_ids, clamp_ids, port_ids, term_ids = (_id_column(r[1]) for r in (var, clamp, port, term))
+    arity = np.array([k for k, _ in term[2]], dtype=np.int64)
+    tidx = np.array([t for _, t in term[2]], dtype=np.intp)
+    terms = _Rows(_padded(term_ids, arity), arity, tidx, tuple(t for _, t in tables.values()))
+    model = None
+    try:
+        model = _build(var_ids, np.array([r for r, _ in var[2]], dtype=np.int8),
+                       [label for _, label in var[2]], terms, clamp_ids, clamp[2],
+                       (var_at, term_at, clamp_at))
+    except DumpFormatError as exc:
+        stop = exc.line
+    # a port names a variable declared before it, once; one port is out
+    ports: list[tuple[str, int]] = []
+    declared_on: dict[int, int] = {}
+    for vid, line in zip(var_ids.tolist() if port[0] else (), var[0]):
+        declared_on.setdefault(vid, line)
+    for line, vid, kind in zip(port[0], port_ids.tolist(), port[2]):
+        if line > stop or (declared_on.get(vid, line) >= line or any(v == vid for _, v in ports)
+                           or kind == "out" and any(k == "out" for k, _ in ports)):
+            stop = min(stop, line)
+            break
+        ports.append((kind, vid))
+    if model is None or stop <= len(lines):
+        tokens = lines[stop - 1].split("#", 1)[0].split()
+        declared = set(var_ids[var_at < stop].tolist())
+        _line_error(tokens, stop, declared, [p for p, line in zip(ports, port[0]) if line < stop],
+                    allow_ports)
+    return model, ports
 
 
 def parse_model(text: str, allow_ports: bool = False) -> EnergyModel:
@@ -787,5 +1167,4 @@ def parse_model(text: str, allow_ports: bool = False) -> EnergyModel:
     PORT lines are rejected unless `allow_ports`, in which case they are
     skipped (gadget dumps then parse as their fragment model).
     """
-    variables, clamps, terms, _ = parse_statements(text, allow_ports=allow_ports)
-    return EnergyModel(tuple(variables), tuple(terms), clamps)
+    return parse_statements(text, allow_ports=allow_ports)[0]

@@ -22,16 +22,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .gadgets import Forcing, Gadget, instantiate, make_physical_and, symmetrize, synthesize_gadget
+import numpy as np
+
+from .gadgets import Gadget, make_physical_and, symmetrize, synthesize_gadget
 from .logic import NOT, TruthFunction, and_n, fold_repeated_inputs, or_n
 from .model import (
+    _ROLE_CODE,
     Assignment,
     DEFAULT_CAP,
     EnergyModel,
     EnergyTerm,
+    Forcing,
     ModelError,
+    Plan,
     Variable,
-    _ground_set,
+    _as_dicts,
+    _build,
+    _ground_matrix,
+    _map_array,
+    _slot_blocks,
+    _stamp,
     as_energy,
 )
 
@@ -61,20 +71,28 @@ class ComplexityReport:
 
 @dataclass(frozen=True)
 class Network:
-    """A compiled netlist: energy model, port map, and solve/accounting data."""
+    """A compiled netlist: energy model, port map, and solve/accounting data.
+
+    `forcings` is the extension plan in columns; `plan` gives it back as a
+    tuple of `Forcing`s.
+    """
 
     model: EnergyModel
     port_map: dict[str, int]
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
     elements: ComplexityReport
-    plan: tuple[Forcing, ...]
+    forcings: Plan
     penalty_floor: Fraction
     base_ground: Fraction = Fraction(0)
     bias_budget: Fraction = Fraction(0)
     edc: bool = True
     dedlus: tuple = ()
     medlu: object = None
+
+    @property
+    def plan(self) -> tuple[Forcing, ...]:
+        return tuple(self.forcings)
 
     def var_of(self, net: str) -> int:
         if net not in self.port_map:
@@ -99,6 +117,12 @@ class Network:
 
     def ground_states(self, cap: int = DEFAULT_CAP) -> tuple[Fraction, list[Assignment]]:
         """Exact ground set by conditioning on the unforced free variables."""
+        e0, keys, states = self._ground_matrix(cap)
+        return e0, _as_dicts(self.model, keys, states)
+
+    def _ground_matrix(self, cap: int):
+        """`ground_states` as `model._ground_matrix` gives it: (E0, keys,
+        states), one state per column."""
         if not self.edc:
             raise ModelError(
                 "conditioned solve needs input-independent gate ground energies; "
@@ -109,23 +133,13 @@ class Network:
                 f"penalty floor {self.penalty_floor} does not dominate bias budget "
                 f"{self.bias_budget}; conditioned solve would not be exact"
             )
-        ground = _ground_set(self.model, self.plan, cap)
+        ground = _ground_matrix(self.model, self.forcings, cap)
         if ground is None:
             raise NoConsistentStateError(
                 "no input assignment is consistent with the clamps; "
                 "fall back to enumerate_ground_states or the annealer"
             )
         return ground
-
-
-class _VarAlloc:
-    def __init__(self):
-        self.variables: list[Variable] = []
-
-    def new(self, role: str, label: str | None = None) -> int:
-        vid = len(self.variables)
-        self.variables.append(Variable(vid, role, label))
-        return vid
 
 
 def _gate_function(gate) -> TruthFunction:
@@ -154,47 +168,65 @@ class _GateGadgets:
     """Gate to gadget, shared by `compile_netlist` and the lattice stamp.
 
     Everything that depends only on the gadget is derived once per distinct
-    (kind, function after folding repeated inputs): the gadget and its
-    ancilla label suffixes in `resolve`, its counts, floor and ground energy
-    from its use count in `totals`.
+    (kind, function after folding repeated inputs), or wire-chain length:
+    the gadget, its block in `blocks()` and its ancilla label suffixes in
+    `resolve` and `chain`, its counts, floor and ground energy from its use
+    count in `totals`.  These gadgets number their variables 0..m-1, so a
+    variable's slot in `blocks()` is its id.
     """
 
-    def __init__(self, policy: str, penalty: Fraction, and_profile):
+    def __init__(self, policy: str, penalty: Fraction, and_profile, coupling=1):
         self.policy = policy
         self.penalty = penalty
         self.and_profile = and_profile
+        self.coupling = coupling
         self.functions: dict = {}
-        self.gadgets: dict = {}
+        self.gadgets: dict = {}  # key -> (gadget, block, ancilla (id, label suffix) pairs)
         self.uses: dict = {}  # key -> placed copies, in order of first use
 
+    def _entry(self, key, make):
+        entry = self.gadgets.get(key)
+        if entry is None:
+            g = make()
+            ancillae = [(a, g.fragment.variable(a).label or a) for a in g.ancillae]
+            entry = self.gadgets[key] = (g, len(self.gadgets), ancillae)
+        return entry
+
     def resolve(self, gate):
-        """(key, gadget, ancilla (id, label suffix) pairs, unique input nets)."""
+        """(key, gadget, block, ancilla (id, label suffix) pairs, unique input nets)."""
         fn_key = (gate.kind, len(gate.inputs), gate.func)
         fn = self.functions.get(fn_key)
         if fn is None:
             fn = self.functions[fn_key] = _gate_function(gate)
         fn, unique_ins = fold_repeated_inputs(fn, gate.inputs)
         key = (gate.kind, fn.outputs)
-        entry = self.gadgets.get(key)
-        if entry is None:
-            g = _gate_gadget(gate, fn, self.policy, self.penalty, self.and_profile)
-            labels = {v.id: v.label for v in g.fragment.variables}
-            entry = self.gadgets[key] = (g, [(a, labels[a] or a) for a in g.ancillae])
-        return key, entry[0], entry[1], unique_ins
+        g, block, ancillae = self._entry(
+            key, lambda: _gate_gadget(gate, fn, self.policy, self.penalty, self.and_profile))
+        return key, g, block, ancillae, unique_ins
 
-    def use(self, key, counts: dict[str, int]):
-        """Count one placed copy; a gadget's element kinds enter `counts` at
+    def chain(self, length: int):
+        """(key, gadget, block) of the wire chain of `length` variables."""
+        key = ("wire", length)
+        g, block, _ = self._entry(key, lambda: make_wire_chain(length, self.coupling))
+        return key, g, block
+
+    def blocks(self):
+        return _slot_blocks([(g.fragment, g.forcings) for g, _, _ in self.gadgets.values()])
+
+    def use(self, key, counts: dict[str, int], copies: int = 1):
+        """Count placed copies; a gadget's element kinds enter `counts` at
         its first use."""
         if key in self.uses:
-            self.uses[key] += 1
+            self.uses[key] += copies
         else:
-            self.uses[key] = 1
+            self.uses[key] = copies
             for k in self.gadgets[key][0].counts:
                 counts.setdefault(k, 0)
 
-    def totals(self, counts: dict[str, int], floor):
+    def totals(self, counts: dict[str, int]):
         """Add the used gadgets' element counts into `counts` and return
         (floor, base ground, edc)."""
+        floor = None
         base_ground = Fraction(0)
         edc = True
         for key, n in self.uses.items():
@@ -224,12 +256,14 @@ def compile_netlist(
     composites (inverters stay plain).  `and_profile`, when given under the
     symmetrized policy, supplies the (e00, e01, e10, e11) physical profile
     for 2-input AND gates.  `wire_chains` maps net names to explicit chain
-    lengths (L >= 2) inserted between the net's driver and its consumers.
+    lengths (L >= 2), each a `make_wire_chain` gadget of coupling
+    `wire_coupling` inserted between the net's driver and its consumers.
+
+    Every gate and chain becomes one row of slot-to-id maps; the gadgets'
+    terms and forcings are then placed through all of them by one `_stamp`.
     """
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
-    p = as_energy(penalty)
-    j_c = as_energy(wire_coupling)
     wire_chains = dict(wire_chains or {})
     order = nl.validate()
     known_nets = set(nl.nets())
@@ -239,67 +273,62 @@ def compile_netlist(
         if length < 2:
             raise ModelError(f"wire chain on {net!r} needs length >= 2")
 
-    alloc = _VarAlloc()
+    gadgets = _GateGadgets(policy, as_energy(penalty), and_profile, as_energy(wire_coupling))
+    roles: list[int] = []
+    labels: list[str] = []
+
+    def new(role: str, label: str) -> int:
+        roles.append(_ROLE_CODE[role])
+        labels.append(label)
+        return len(labels) - 1
+
     driver_var: dict[str, int] = {}
     consumer_var: dict[str, int] = {}
-    terms: list[EnergyTerm] = []
-    plan: list[Forcing] = []
+    blocks: list[int] = []
+    maps: list[list[int]] = []
     counts: dict[str, int] = {}
-    floor = None
 
-    def role_of(net: str) -> str:
-        if net in nl.inputs:
-            return "input"
-        if net in nl.outputs:
-            return "output"
-        return "wire"
-
-    def add_chain(net: str):
-        """Explicit equal-coupling chain from the net's driver end to a
-        separate consumer end; interior plus consumer are forced copies."""
-        nonlocal floor
-        length = wire_chains[net]
-        chain = [driver_var[net]]
-        for k in range(length - 2):
-            chain.append(alloc.new("wire", f"{net}~{k + 1}"))
-        chain.append(alloc.new("wire", f"{net}~end"))
-        for u, v in zip(chain, chain[1:]):
-            terms.append(EnergyTerm((u, v), (Fraction(0), j_c, j_c, Fraction(0))))
-            plan.append(Forcing(v, (u,), (0, 1)))
-        consumer_var[net] = chain[-1]
-        counts["register"] = counts.get("register", 0) + 1
-        floor = j_c if floor is None else min(floor, j_c)
+    def place_chain(net: str):
+        """A chain from the net's driver (its id 0) to a new consumer end."""
+        key, g, block = gadgets.chain(wire_chains[net])
+        gadgets.use(key, counts)
+        row = [driver_var[net]] + [new("wire", f"{net}~{a}") for a in g.ancillae]
+        consumer_var[net] = new("wire", f"{net}~end")
+        blocks.append(block)
+        maps.append(row + [consumer_var[net]])
 
     for net in nl.nets():
-        driver_var[net] = alloc.new(role_of(net), net)
-        consumer_var[net] = driver_var[net]
+        role = "input" if net in nl.inputs else "output" if net in nl.outputs else "wire"
+        driver_var[net] = consumer_var[net] = new(role, net)
     for net in nl.inputs:
         if net in wire_chains:
-            add_chain(net)
+            place_chain(net)
 
-    gadgets = _GateGadgets(policy, p, and_profile)
     for gate in order:
-        key, g, ancillae, unique_ins = gadgets.resolve(gate)
+        key, g, block, ancillae, unique_ins = gadgets.resolve(gate)
         gadgets.use(key, counts)
-        var_map = {gv: consumer_var[net] for gv, net in zip(g.inputs, unique_ins)}
-        var_map[g.output] = driver_var[gate.output]
+        row = [0] * (len(g.inputs) + 1 + len(g.ancillae))
+        for gv, net in zip(g.inputs, unique_ins):
+            row[gv] = consumer_var[net]
+        row[g.output] = driver_var[gate.output]
         for a, suffix in ancillae:
-            var_map[a] = alloc.new("ancilla", f"{gate.output}.{suffix}")
-        g_terms, g_forcings = instantiate(g, var_map)
-        terms += g_terms
-        plan += g_forcings
+            row[a] = new("ancilla", f"{gate.output}.{suffix}")
+        blocks.append(block)
+        maps.append(row)
         if gate.output in wire_chains:
-            add_chain(gate.output)
+            place_chain(gate.output)
 
-    floor, base_ground, edc = gadgets.totals(counts, floor)
-    model = EnergyModel(tuple(alloc.variables), tuple(terms))
+    floor, base_ground, edc = gadgets.totals(counts)
+    placed = _stamp(gadgets.blocks(), blocks, _map_array(maps))
+    model = _build(np.arange(len(labels), dtype=np.int64), np.array(roles, dtype=np.int8),
+                   labels, placed.rows)
     return Network(
         model=model,
         port_map=dict(driver_var),
         inputs=tuple(nl.inputs),
         outputs=tuple(nl.outputs),
         elements=ComplexityReport(counts),
-        plan=tuple(plan),
+        forcings=placed.forcings,
         penalty_floor=floor,
         base_ground=base_ground,
         edc=edc,

@@ -20,18 +20,20 @@ simulator those ground states are checked against.
 
 `build_lattice` compiles the cell control once and stamps it p^2 times.
 Each of the cell's G gates is resolved to its gadget by the gate-to-gadget
-step `compile_netlist` uses, and its terms, forcings and ancilla label
-suffixes are instantiated over cell slots: the inputs r, id*, iu*, then the
-cell's K other nets, then each gate's own ancillae.  A placement maps slots
-to variable ids by integer offsets, with no per-cell gates or net names.
-The ids are those a flat compile of the p^2 renamed cell netlists would
-give: register row 1; the boundary bus bits, in cell order; then net k of
-cell c (row-major) at base + c*K + k, where k orders the nets by first
-appearance in the cell's gate list.  Ancilla ids, terms, forcings and the
-order of the element counts follow Kahn's order over all p^2 G gates: a
-FIFO queue seeded with every gate of in-degree 0 in cell-major order, and a
-cell output consumed by the neighbour's gates that read the matching port,
-in gate order.
+step `compile_netlist` uses, and its terms and forcings are placed over
+cell slots: the inputs r, id*, iu*, then the cell's K other nets, then
+each gate's own ancillae.  Each cell's placement map lists the variable id
+of every slot, built by integer offsets with no per-cell gates or net
+names, and the stamp is one fancy index of the cell's term columns (and
+one of its forcing columns) through those maps, gate copy by gate copy in
+the order below (`model._stamp`).  The ids are those a flat compile of the
+p^2 renamed cell netlists would give: register row 1; the boundary bus
+bits, in cell order; then net k of cell c (row-major) at base + c*K + k,
+where k orders the nets by first appearance in the cell's gate list.
+Ancilla ids, terms, forcings and the order of the element counts follow
+Kahn's order over all p^2 G gates: a FIFO queue seeded with every gate of
+in-degree 0 in cell-major order, and a cell output consumed by the
+neighbour's gates that read the matching port, in gate order.
 """
 
 from __future__ import annotations
@@ -39,17 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
-from .gadgets import Forcing, _renamed_forcings, instantiate
+import numpy as np
+
 from .logic import TruthFunction
 from .model import (
-    Assignment,
-    DEFAULT_CAP,
-    EnergyModel,
-    EnergyTerm,
-    ModelError,
-    Variable,
-    _renamed_terms,
-    as_energy,
+    _ROLE_CODE, Assignment, DEFAULT_CAP, ModelError, _build, _map_array, _stamp, as_energy,
 )
 from .netbuilder import POLICIES, ComplexityReport, Network, _GateGadgets, clamp_inputs
 from .netlist import Netlist, netlist_from_bit_functions
@@ -268,8 +264,6 @@ class _CellGate(NamedTuple):
     out_slot: int
     ancillae: range  # its ancilla slots
     suffixes: tuple[str, ...]  # their label suffixes
-    terms: slice  # its terms and forcings in the cell's lists
-    forcings: slice
     deg: int  # inputs driven inside the cell, repeats counted
     pins: tuple[int, ...]  # cell-input slots read, repeats counted
     inner: tuple[int, ...]  # gates of the cell reading the output, in gate order
@@ -293,7 +287,8 @@ def _compile_cell(f: SfscFunction, gadgets: _GateGadgets):
     Slots 0 .. 2s are the cell inputs r, id*, iu*; the next K slots are the
     cell's other nets, in order of first appearance in its gate list; then
     come each gate's own ancillae, in gate order.  Returns (the K net names,
-    one `_CellGate` per gate in gate order, all terms, all forcings).
+    one `_CellGate` per gate in gate order, the gates' terms and forcings
+    as `_Blocks`, one block per gate).
     """
     sub = build_sfsc_netlist(f)
     slot = {n: k for k, n in enumerate(sfsc_input_nets(f.bus_width))}
@@ -307,29 +302,28 @@ def _compile_cell(f: SfscFunction, gadgets: _GateGadgets):
         for n in gate.inputs:
             readers.setdefault(n, []).append(h)
     port_reads = _port_reads(f.bus_width)
-    cell, terms, forcings = [], [], []
+    cell, blocks, maps = [], [], []
     for gate in sub.gates:
-        key, g, ancillae, unique_ins = gadgets.resolve(gate)
-        var_map = {gv: slot[n] for gv, n in zip(g.inputs, unique_ins)}
-        var_map[g.output] = slot[gate.output]
+        key, g, block, ancillae, unique_ins = gadgets.resolve(gate)
+        row = [0] * (len(g.inputs) + 1 + len(ancillae))
+        for gv, n in zip(g.inputs, unique_ins):
+            row[gv] = slot[n]
+        row[g.output] = slot[gate.output]
         for k, (a, _) in enumerate(ancillae):
-            var_map[a] = n_slots + k
-        g_terms, g_forcings = instantiate(g, var_map)
+            row[a] = n_slots + k
+        blocks.append(block)
+        maps.append(row)
         read = port_reads.get(gate.output)
         cell.append(_CellGate(
             key, slot[gate.output],
             range(n_slots, n_slots + len(ancillae)), tuple(sfx for _, sfx in ancillae),
-            slice(len(terms), len(terms) + len(g_terms)),
-            slice(len(forcings), len(forcings) + len(g_forcings)),
             deg=sum(1 for n in gate.inputs if slot[n] >= n_in),
             pins=tuple(slot[n] for n in gate.inputs if slot[n] < n_in),
             inner=tuple(readers.get(gate.output, ())),
             outer=None if read is None else (read[0], tuple(readers.get(read[1], ()))),
         ))
         n_slots += len(ancillae)
-        terms += g_terms
-        forcings += g_forcings
-    return list(slot)[n_in:], cell, terms, forcings
+    return list(slot)[n_in:], cell, _stamp(gadgets.blocks(), blocks, _map_array(maps))
 
 
 def _wire_cells(p: int, s: int, head_start: int, start_code: int, nets: list[str]):
@@ -449,10 +443,9 @@ def build_lattice(
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
     gadgets = _GateGadgets(policy, as_energy(penalty), None)
-    nets, cell, cell_terms, cell_forcings = _compile_cell(f, gadgets)
+    nets, cell, compiled = _compile_cell(f, gadgets)
     labels, n_inputs, clamp_bits, maps = _wire_cells(p, s, head_start, dtm.code(dtm.start), nets)
-    order = _gate_order(cell, p, s)
-    G = len(cell)
+    n_nets = len(labels)
     w_slot = 1 + 2 * s + nets.index("w")
     register_var = {
         (i, j): j - 1 if i == 1 else maps[(i - 2) * p + j - 1][w_slot]
@@ -462,50 +455,46 @@ def build_lattice(
     cells = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
     inbus_down = {key: tuple(m[1 : 1 + s]) for key, m in zip(cells, maps)}
     inbus_up = {key: tuple(m[1 + s : 1 + 2 * s]) for key, m in zip(cells, maps)}
-    variables = [Variable(v, "input", labels[v]) for v in range(n_inputs)]
-    variables += [Variable(v, "wire", labels[v]) for v in range(n_inputs, len(labels))]
-    for j in range(1, p + 1):
-        v = register_var[(p + 1, j)]
-        variables[v] = Variable(v, "output", labels[v])
 
-    # Ancilla ids follow the gate order; so do the gadgets' first uses,
-    # which order the element counts.
-    n_anc = sum(len(t.suffixes) for t in cell)
-    for m in maps:
-        m += [0] * n_anc
+    # Placement x = c*G + g is gate g of cell c.  Ancilla ids follow the
+    # gate order; so do the gadgets' first uses, which order the element
+    # counts.
+    G = len(cell)
+    c_of, g_of = np.divmod(np.array(_gate_order(cell, p, s), dtype=np.intp), G)
+    n_anc = np.array([len(t.suffixes) for t in cell], dtype=np.int64)
+    anc_at = np.array([t.ancillae.start for t in cell], dtype=np.int64)
+    maps = np.array(maps, dtype=np.int64).reshape(p * p, -1)
+    maps = np.hstack([maps, np.zeros((p * p, int(n_anc.sum())), dtype=np.int64),
+                      np.full((p * p, 1), -1, dtype=np.int64)])
+    sizes = n_anc[g_of]
+    first = n_nets + np.cumsum(sizes) - sizes
+    x = np.repeat(np.arange(len(g_of)), sizes)
+    k = np.arange(len(x)) + n_nets - first[x]
+    maps[c_of[x], anc_at[g_of[x]] + k] = first[x] + k
+    has = np.flatnonzero(sizes)
+    outs = maps[c_of[has], np.array([t.out_slot for t in cell])[g_of[has]]]
+    names = list(labels)  # the nets, then every ancilla
+    for out, g in zip(outs.tolist(), g_of[has].tolist()):
+        names += [f"{labels[out]}.{sfx}" for sfx in cell[g].suffixes]
     counts: dict[str, int] = {}
-    for x in order:
-        c, g = divmod(x, G)
-        t = cell[g]
-        if t.suffixes:
-            first = len(variables)
-            maps[c][t.ancillae.start : t.ancillae.stop] = range(first, first + len(t.suffixes))
-            out = labels[maps[c][t.out_slot]]
-            variables += [
-                Variable(first + a, "ancilla", f"{out}.{sfx}") for a, sfx in enumerate(t.suffixes)
-            ]
-        gadgets.use(t.key, counts)
-    floor, base_ground, edc = gadgets.totals(counts, None)
+    first_use = np.full(G, len(g_of))
+    np.minimum.at(first_use, g_of, np.arange(len(g_of)))
+    for g in np.argsort(first_use, kind="stable").tolist():
+        gadgets.use(cell[g].key, counts, p * p)
+    floor, base_ground, edc = gadgets.totals(counts)
 
-    # Each cell's terms and forcings are renamed in one pass, then listed in
-    # gate order.
-    placed = [
-        (_renamed_terms(cell_terms, m), _renamed_forcings(cell_forcings, m)) for m in maps
-    ]
-    terms: list[EnergyTerm] = []
-    plan: list[Forcing] = []
-    for x in order:
-        c, g = divmod(x, G)
-        terms += placed[c][0][cell[g].terms]
-        plan += placed[c][1][cell[g].forcings]
-    del placed, maps, order  # not kept alive while the model is validated and clamped
+    roles = np.full(len(names), _ROLE_CODE["wire"], dtype=np.int8)
+    roles[:n_inputs] = _ROLE_CODE["input"]
+    roles[[register_var[(p + 1, j)] for j in range(1, p + 1)]] = _ROLE_CODE["output"]
+    roles[n_nets:] = _ROLE_CODE["ancilla"]
+    stamped = _stamp(compiled, g_of, maps, c_of)
     network = Network(
-        model=EnergyModel(tuple(variables), tuple(terms)),
+        model=_build(np.arange(len(names), dtype=np.int64), roles, names, stamped.rows),
         port_map=dict(zip(labels, range(len(labels)))),
         inputs=tuple(labels[:n_inputs]),
         outputs=tuple(_reg(p + 1, j) for j in range(1, p + 1)),
         elements=ComplexityReport(counts),
-        plan=tuple(plan),
+        forcings=stamped.forcings,
         penalty_floor=floor,
         base_ground=base_ground,
         edc=edc,
@@ -598,11 +587,13 @@ def verify_ground_histories(lattice: Lattice, cap: int = DEFAULT_CAP) -> bool:
         history = simulate_dtm_oracle(lattice.dtm, tape, lattice.head_start, lattice.p)
         embedded = lattice.register_assignment(history)
         expected.add(tuple(embedded[v] for v in reg_order))
-    _, states = lattice.network.ground_states(cap)
-    if len(states) != len(expected):
+    network = lattice.network
+    _, _, states = network._ground_matrix(cap)
+    if states.shape[1] != len(expected):
         return False
-    actual = {tuple(a[v] for v in reg_order) for a in states}
-    return actual == expected
+    # the register rows of the ground-state matrix, one state per column
+    registers = states[network.model._rows(reg_order)]
+    return set(map(tuple, registers.T.tolist())) == expected
 
 
 # --- machine text format ----------------------------------------------------

@@ -285,3 +285,39 @@ def test_solve_gadget_dump_with_ports(tmp_path, capsys):
     code, _, stderr = run(capsys, "solve", str(path))
     assert code == 1
     assert "line 3: variable 3 is not declared" in stderr
+
+
+FLIPPER_SPEC = "STATE q\nSTART q\nDELTA q 0 -> q 1 U\nDELTA q 1 -> q 0 U\n"
+
+
+@pytest.mark.parametrize("case", ["dtm-out", "anneal-overflow", "anneal-all-clamped"])
+def test_failing_command_leaves_stdout_empty(tmp_path, capsys, case):
+    # on exit 1 no partial report reaches stdout, and stderr holds one error line
+    if case == "dtm-out":
+        spec = tmp_path / "flipper.dtm"
+        spec.write_text(FLIPPER_SPEC)
+        argv = ["dtm", str(spec), "--p", "2", "--verify", "--out", str(tmp_path / "missing" / "x.dump")]
+    else:
+        dump = tmp_path / "case.dump"
+        dump.write_text("VAR 0 wire\nVAR 1 wire\nTERM 2 0 1 : 0 1e400 1e400 0\n"
+                        if case == "anneal-overflow" else "VAR 0 wire\nCLAMP 0 1\nTERM 1 0 : 0 1\n")
+        argv = ["solve", str(dump), "--method", "anneal", "--sweeps", "5", "--out", str(tmp_path / "r.csv")]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 1 and stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+
+
+def test_solve_exact_prints_the_enumerated_states(tmp_path, capsys):
+    # bitstrings in variable-id order, states in the order of enumerate_ground_states
+    model = gl.EnergyModel(
+        tuple(gl.Variable(v) for v in (7, 2, 5)),
+        (gl.EnergyTerm((7, 2), (0, 1, 1, 0)), gl.EnergyTerm((5,), (1, 1))),
+        {5: 1},
+    )
+    path = tmp_path / "m.dump"
+    path.write_text(gl.format_model(model))
+    code, stdout, _ = run(capsys, "solve", str(path))
+    e0, states = gl.enumerate_ground_states(model)
+    expected = [f"E0={e0} deg={len(states)}"]
+    expected += ["".join(str(a[v]) for v in sorted(a)) for a in states]
+    assert code == 0 and stdout == "\n".join(expected) + "\n"

@@ -5,6 +5,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,9 +79,9 @@ def test_fractional_energies():
 def test_huge_medlu_scale_sums_python_ints():
     net = gl.compile_netlist(gl.parse_netlist(OR3_NL), penalty=1 << 65)
     _, net = gl.assemble_usqc(net, medlu_ports=("a", "b", "y"), scale=1 << 62)
-    row = {v: i for i, v in enumerate(net.model.var_ids)}
+    ids = np.array(net.model.var_ids)
     _, offset, terms = gl.model._integer_terms(net.model)
-    assert gl.model._term_groups(terms, row, offset)[0] == object
+    assert gl.model._term_groups(terms, ids, offset, [])[0] == object
     e, states = net.ground_states()
     assert e == 0 and len(states) == 1
     assert (e, states) == gl.enumerate_ground_states(net.model)

@@ -21,6 +21,94 @@ def random_model(rng: random.Random, n_vars=6, n_terms=5, max_arity=3) -> gl.Ene
     return gl.EnergyModel(variables, tuple(terms))
 
 
+def reference_parse_statements(text: str, allow_ports: bool = False):
+    """Oracle for `model.parse_statements`: the line-by-line reading, which
+    checks every line against the lines before it and raises at the first
+    defect.  Returns (variables, clamps, terms, ports)."""
+
+    def number(token, lineno, what):
+        try:
+            value = int(token)
+        except ValueError:
+            raise gl.DumpFormatError(lineno, f"bad {what} {token!r}") from None
+        if what == "variable id" and not -(1 << 63) <= value < 1 << 63:
+            raise gl.DumpFormatError(lineno, f"bad {what} {token!r}")
+        return value
+
+    def ref(token, lineno):
+        vid = number(token, lineno, "variable id")
+        if vid not in declared:
+            raise gl.DumpFormatError(lineno, f"variable {vid} is not declared by an earlier VAR")
+        return vid
+
+    declared, variables, clamps, terms, ports = set(), [], {}, [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        kind = tokens[0]
+        if kind == "VAR":
+            if len(tokens) < 3:
+                raise gl.DumpFormatError(lineno, "VAR needs <id> <role> [label]")
+            vid = number(tokens[1], lineno, "variable id")
+            if vid in declared:
+                raise gl.DumpFormatError(lineno, f"duplicate variable id {vid}")
+            try:
+                variables.append(gl.Variable(vid, tokens[2], " ".join(tokens[3:]) or None))
+            except gl.ModelError as exc:
+                raise gl.DumpFormatError(lineno, str(exc)) from None
+            declared.add(vid)
+        elif kind == "CLAMP":
+            if len(tokens) != 3 or tokens[2] not in ("0", "1"):
+                raise gl.DumpFormatError(lineno, "CLAMP needs <id> <0|1>")
+            vid = ref(tokens[1], lineno)
+            if vid in clamps:
+                raise gl.DumpFormatError(lineno, f"variable {vid} is already clamped")
+            clamps[vid] = int(tokens[2])
+        elif kind == "TERM":
+            if len(tokens) < 2:
+                raise gl.DumpFormatError(lineno, "TERM needs an arity")
+            k = number(tokens[1], lineno, "arity")
+            if not 1 <= k <= gl.K_MAX:
+                raise gl.DumpFormatError(lineno, f"arity {k} outside 1..{gl.K_MAX}")
+            if len(tokens) != 3 + k + (1 << k) or tokens[2 + k] != ":":
+                raise gl.DumpFormatError(
+                    lineno, f"TERM {k} needs {k} ids, ':', then {1 << k} energies"
+                )
+            vids = tuple(ref(t, lineno) for t in tokens[2 : 2 + k])
+            table = []
+            for t in tokens[3 + k :]:
+                try:
+                    table.append(Fraction(t))
+                except (ValueError, ZeroDivisionError):
+                    raise gl.DumpFormatError(lineno, f"bad energy {t!r}") from None
+            try:
+                terms.append(gl.EnergyTerm(vids, tuple(table)))
+            except gl.ModelError as exc:
+                raise gl.DumpFormatError(lineno, str(exc)) from None
+        elif kind == "PORT" and allow_ports:
+            if len(tokens) != 3 or tokens[1] not in ("in", "out", "anc"):
+                raise gl.DumpFormatError(lineno, "PORT needs <in|out|anc> <id>")
+            vid = ref(tokens[2], lineno)
+            if any(v == vid for _, v in ports):
+                raise gl.DumpFormatError(lineno, f"variable {vid} is already a port")
+            if tokens[1] == "out" and any(role == "out" for role, _ in ports):
+                raise gl.DumpFormatError(lineno, "a gadget has exactly one out port")
+            ports.append((tokens[1], vid))
+        else:
+            raise gl.DumpFormatError(lineno, f"unknown statement {kind!r}")
+    return variables, clamps, terms, ports
+
+
+def terms_of(rows) -> tuple:
+    """`EnergyTerm`s of term rows in columns (`model._Rows`)."""
+    return tuple(
+        gl.EnergyTerm(tuple(ids[:k]), rows.tables[i])
+        for ids, k, i in zip(rows.vars.tolist(), rows.arity.tolist(), rows.tidx.tolist())
+    )
+
+
 def extend_by_forcings(inputs_assignment: dict[int, int], forcings) -> dict[int, int]:
     """Oracle: apply forcing rules one at a time, in order, to a dict."""
     a = dict(inputs_assignment)
