@@ -33,8 +33,9 @@ of forced variables beside `_Rows` of their arguments and 0/1 tables.
 the library reads only the columns.  Every model comes out of one checking
 constructor, `_build`, whose checks run in bulk (`_check`): declared ids by
 a sorted search, distinct ids per row by sorting along the rows, and table
-lengths; for a dump, an id must be declared on an earlier line, and the
-first failing line raises the line-by-line reading's message.  Gadget
+lengths.  The dump reader (`parse_statements`) is one pass that checks
+each line against the lines before it, raises at the first defect, and
+writes the rows straight into the columns it hands to `_build`.  Gadget
 copies and lattice cells are placed by `_stamp`: one fancy index of their
 columns, over slots, through slot-to-id maps.
 
@@ -257,7 +258,18 @@ class Plan:
     def __init__(self, forcings=()):
         forcings = tuple(forcings)
         self.var = _ids([f[0] for f in forcings])
-        self.args = _rows_of([f[1] for f in forcings], [f[2] for f in forcings])
+        self.args = a = _rows_of([f[1] for f in forcings], [f[2] for f in forcings])
+        # each distinct table once: bits only, 2**arity of them for every row
+        for table in a.tables:
+            if not set(table) <= {0, 1}:
+                raise ModelError(f"forcing table entries must be 0 or 1, got {table}")
+        sizes = np.array([len(table) for table in a.tables], dtype=np.int64)
+        bad = sizes[a.tidx] != 1 << a.arity
+        if bad.any():
+            r = np.argmax(bad)
+            k = int(a.arity[r])
+            raise ModelError(f"forcing table for arity {k} needs {1 << k} entries, "
+                             f"got {sizes[a.tidx[r]]}")
 
     @classmethod
     def _of(cls, var, args: _Rows) -> "Plan":
@@ -344,46 +356,31 @@ def _map_array(rows) -> np.ndarray:
     return _padded(_ids([v for r in rows for v in r]), lengths, max(lengths, default=0) + 1)
 
 
-def _check(ids, terms=None, clamp_ids=_NO_IDS, clamp_bits=(), lines=None):
+def _undeclared(known, vals) -> np.ndarray:
+    """Per entry of `vals`: is it missing from the sorted, distinct `known`?"""
+    if not len(known):
+        return np.ones(vals.shape, dtype=bool)
+    if known[-1] - known[0] == len(known) - 1:  # every id in a range
+        return (vals < known[0]) | (vals > known[-1])
+    p = np.minimum(np.searchsorted(known, vals), len(known) - 1)
+    return known[p] != vals
+
+
+def _check(ids, terms=None, clamp_ids=_NO_IDS, clamp_bits=()):
     """The bulk checks of `_build`: raise ModelError for the first fault, in
     the order of the object constructors -- duplicate or negative ids, then
-    the terms, then the clamps.
-
-    A dump passes `lines`, the line of each VAR, TERM and CLAMP row: an id
-    then counts as declared only by a VAR on an earlier line, and the fault
-    on the earliest line raises DumpFormatError at that line.
-    """
-    n_terms = 0 if terms is None else len(terms.arity)
-    faults = []  # (line or order, message)
-    known, known_line = ids, lines and lines[0]
+    the terms, then the clamps."""
+    known = ids
     if not (ids[1:] > ids[:-1]).all():  # else: no duplicates, already sorted
-        order = np.argsort(ids, kind="stable")
-        first = np.ones(len(ids), dtype=bool)
-        first[1:] = ids[order][1:] != ids[order][:-1]
-        known, order = ids[order][first], order[first]
-        known_line = lines and lines[0][order]
-        again = np.ones(len(ids), dtype=bool)
-        again[order] = False
-        r = np.argmax(again)
-        if again[r]:
-            faults.append((lines[0][r] if lines else 0, "duplicate variable ids"))
+        known = np.unique(ids)
+        if len(known) < len(ids):
+            raise ModelError("duplicate variable ids")
     if len(ids) and known[0] < 0:
-        r = np.argmax(ids < 0)
-        message = f"variable id must be non-negative, got {ids[r]}"
-        faults.append((lines[0][r] if lines else 0, message))
+        raise ModelError(f"variable id must be non-negative, got {ids[np.argmax(ids < 0)]}")
 
-    def undeclared(vals, at):
-        if not len(known):
-            return np.ones(vals.shape, dtype=bool)
-        if not lines and known[-1] - known[0] == len(known) - 1:  # every id in a range
-            return (vals < known[0]) | (vals > known[-1])
-        p = np.minimum(np.searchsorted(known, vals), len(known) - 1)
-        return (known[p] != vals) | (known_line[p] >= at) if lines else known[p] != vals
-
-    if n_terms:
+    if terms is not None and len(terms.arity):
         t = terms
-        at = lines[1][:, None] if lines else None
-        missing = undeclared(t.vars, at) & (np.arange(K_MAX) < t.arity[:, None])
+        missing = _undeclared(known, t.vars) & (np.arange(K_MAX) < t.arity[:, None])
         repeated = _repeats(t.vars)
         # each table's arity by its size (a power of two), else -1
         arity_of = [n.bit_length() - 1 if n > 1 and n & (n - 1) == 0 else -1
@@ -394,15 +391,14 @@ def _check(ids, terms=None, clamp_ids=_NO_IDS, clamp_bits=(), lines=None):
             r = np.argmax(bad)
             k = int(t.arity[r])
             absent = sorted(set(t.vars[r][missing[r]].tolist()))
-            faults.append((lines[1][r] if lines else 1 + r,
-                           f"term references undeclared variables {absent}" if absent else
-                           f"term variables must be distinct: {tuple(t.vars[r, :k].tolist())}"
-                           if repeated[r] else
-                           f"term arity {k} outside 1..{K_MAX}; decompose first" if k < 1 else
-                           f"table for arity {k} needs {1 << k} entries, "
-                           f"got {len(t.tables[t.tidx[r]])}"))
+            raise ModelError(
+                f"term references undeclared variables {absent}" if absent else
+                f"term variables must be distinct: {tuple(t.vars[r, :k].tolist())}"
+                if repeated[r] else
+                f"term arity {k} outside 1..{K_MAX}; decompose first" if k < 1 else
+                f"table for arity {k} needs {1 << k} entries, got {len(t.tables[t.tidx[r]])}")
     if len(clamp_ids):
-        missing = undeclared(clamp_ids, lines[2] if lines else None)
+        missing = _undeclared(known, clamp_ids)
         off = np.array([b not in (0, 1) for b in clamp_bits], dtype=bool)
         srt = np.argsort(clamp_ids, kind="stable")
         again = np.zeros(len(clamp_ids), dtype=bool)
@@ -410,20 +406,16 @@ def _check(ids, terms=None, clamp_ids=_NO_IDS, clamp_bits=(), lines=None):
         bad = missing | off | again
         if bad.any():
             r = np.argmax(bad)
-            faults.append((lines[2][r] if lines else 1 + n_terms + r,
-                           f"clamp on undeclared variable {clamp_ids[r]}" if missing[r]
-                           else f"clamp value must be 0 or 1, got {clamp_bits[r]}" if off[r]
-                           else f"variable {clamp_ids[r]} is already clamped"))
-    if faults:
-        line, message = min(faults, key=lambda fault: fault[0])
-        raise DumpFormatError(int(line), message) if lines else ModelError(message)
+            raise ModelError(f"clamp on undeclared variable {clamp_ids[r]}" if missing[r]
+                             else f"clamp value must be 0 or 1, got {clamp_bits[r]}" if off[r]
+                             else f"variable {clamp_ids[r]} is already clamped")
 
 
-def _build(ids, roles, labels, terms: _Rows, clamp_ids=_NO_IDS, clamp_bits=(), lines=None,
+def _build(ids, roles, labels, terms: _Rows, clamp_ids=_NO_IDS, clamp_bits=(),
            model=None) -> "EnergyModel":
     """The one checking constructor: a model from columns (`roles` are codes
     into ROLES), checked by `_check`."""
-    _check(ids, terms, clamp_ids, clamp_bits, lines)
+    _check(ids, terms, clamp_ids, clamp_bits)
     model = object.__new__(EnergyModel) if model is None else model
     model._ids, model._roles, model._labels, model._terms = ids, roles, labels, terms
     model.clamps = dict(zip(clamp_ids.tolist(), clamp_bits))
@@ -641,9 +633,12 @@ def _scan(model: EnergyModel, plan: Plan | None, cap: int):
     root = ~clamped
     forced = []
     if plan:
-        var_rows = _row_of(ids, plan.var)
-        if not np.array_equal(ids[np.minimum(var_rows, n - 1)], plan.var):
+        if _undeclared(ids, plan.var).any():
             raise ModelError("forcing plan assigns an undeclared variable")
+        args = plan.args
+        if (_undeclared(ids, args.vars) & (np.arange(K_MAX) < args.arity[:, None])).any():
+            raise ModelError("forcing plan reads an undeclared variable")
+        var_rows = _row_of(ids, plan.var)
         root[var_rows] = False
         forced = plan.var[~clamped[var_rows]].tolist()
     root_rows = np.flatnonzero(root)
@@ -964,10 +959,26 @@ def spectrum(model: EnergyModel, cap: int = DEFAULT_CAP) -> SpectrumReport:
 # --- dump format -----------------------------------------------------------
 
 
+def _check_labels(labels) -> None:
+    """Raise ModelError unless every label reads back from its VAR line:
+    words without '#', one space apart.  The labels are checked together,
+    one per line of their joined text."""
+    named = len(labels) - labels.count(None)
+    text = "\n".join(filter(None, labels))
+    if named and ("" in labels or "#" in text or text.count("\n") != named - 1
+                  or " ".join(text.split()) != text.replace("\n", " ")):
+        bad = next(label for label in labels if label is not None and (
+            not label or "#" in label or " ".join(label.split()) != label))
+        raise ModelError(f"label {bad!r} does not read back from a dump: "
+                         "use words without '#', one space apart")
+
+
 def format_model(model: EnergyModel, ports=None) -> str:
     """Render the dump format.  `ports` is an optional list of
-    ("in"|"out"|"anc", var_id) pairs appended as PORT lines (gadget dumps)."""
+    ("in"|"out"|"anc", var_id) pairs appended as PORT lines (gadget dumps).
+    Raises ModelError for a label that would not read back."""
     ids, roles, labels = model._ids.tolist(), model._roles.tolist(), model._labels
+    _check_labels(labels)
     lines = [
         f"VAR {ids[i]} {ROLES[roles[i]]}" + (f" {labels[i]}" if labels[i] else "")
         for i in np.argsort(model._ids, kind="stable").tolist()
@@ -990,174 +1001,128 @@ def format_model(model: EnergyModel, ports=None) -> str:
 _ARITY = {str(k): k for k in range(1, K_MAX + 1)}
 
 
-def _as_int(token: str, limit=None) -> int | None:
-    """The token as an int (below `limit` in magnitude), or None."""
-    try:
-        value = int(token)
-    except ValueError:
-        return None
-    return value if limit is None or -limit <= value < limit else None
-
-
-def _id_column(tokens) -> np.ndarray:
-    """Id tokens as int64; a token that is no id becomes -2**63, which no
-    VAR can declare (it is negative), so its line fails in `_check`."""
-    try:
-        return np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        ids = [_as_int(t, 1 << 63) for t in tokens]
-        return np.array([-(1 << 63) if v is None else v for v in ids], dtype=np.int64)
-
-
-def _fraction(token: str, parsed: dict[str, Fraction]) -> Fraction:
-    """The token as a Fraction; `parsed` keeps the tokens already converted."""
-    value = parsed.get(token)
-    if value is None:
-        value = parsed[token] = Fraction(token)
-    return value
-
-
-def _line_error(tokens, lineno: int, declared, ports, allow_ports: bool):
-    """Raise what reading line by line raises at a line that fails, given
-    the ids declared and the ports listed on the lines before it."""
-
-    def fail(message):
-        raise DumpFormatError(lineno, message)
-
-    def ref(token):
-        vid = _as_int(token, 1 << 63)
-        if vid is None:
-            fail(f"bad variable id {token!r}")
-        if vid not in declared:
-            fail(f"variable {vid} is not declared by an earlier VAR")
-        return vid
-
-    kind = tokens[0]
-    if kind == "VAR":
-        if len(tokens) < 3:
-            fail("VAR needs <id> <role> [label]")
-        vid = _as_int(tokens[1], 1 << 63)
-        if vid is None:
-            fail(f"bad variable id {tokens[1]!r}")
-        if vid in declared:
-            fail(f"duplicate variable id {vid}")
-        if vid < 0:
-            fail(f"variable id must be non-negative, got {vid}")
-        fail(f"unknown role {tokens[2]!r}")
-    if kind == "CLAMP":
-        if len(tokens) != 3 or tokens[2] not in ("0", "1"):
-            fail("CLAMP needs <id> <0|1>")
-        fail(f"variable {ref(tokens[1])} is already clamped")
-    if kind == "TERM":
-        if len(tokens) < 2:
-            fail("TERM needs an arity")
-        k = _as_int(tokens[1])
-        if k is None:
-            fail(f"bad arity {tokens[1]!r}")
-        if not 1 <= k <= K_MAX:
-            fail(f"arity {k} outside 1..{K_MAX}")
-        if len(tokens) != 3 + k + (1 << k) or tokens[2 + k] != ":":
-            fail(f"TERM {k} needs {k} ids, ':', then {1 << k} energies")
-        vids = tuple(ref(token) for token in tokens[2 : 2 + k])
-        for token in tokens[3 + k :]:
-            try:
-                Fraction(token)
-            except (ValueError, ZeroDivisionError):
-                fail(f"bad energy {token!r}")
-        fail(f"term variables must be distinct: {vids}")
-    if kind == "PORT" and allow_ports:
-        if len(tokens) != 3 or tokens[1] not in ("in", "out", "anc"):
-            fail("PORT needs <in|out|anc> <id>")
-        vid = ref(tokens[2])
-        if any(v == vid for _, v in ports):
-            fail(f"variable {vid} is already a port")
-        fail("a gadget has exactly one out port")
-    fail(f"unknown statement {kind!r}")
-
-
 def parse_statements(text: str, allow_ports: bool = False):
     """Parse dump statements into (model, ports).
 
     Shared by the model and gadget parsers; `#` starts a comment anywhere on
     a line.  A variable id must be declared by a VAR line before a CLAMP,
     TERM or PORT line names it; it may be clamped once and be one port.
-    Raises DumpFormatError with a line number on any defect.
+    Raises DumpFormatError at the first line with a defect.
 
-    One pass splits the lines into columns, up to the first line that fails
-    on its own; each distinct energy-token list is read once, and each
-    distinct token converted once.  The ids are converted per kind of line
-    and checked by `_build`, the ports after it.  At the first failing line
-    `_line_error` raises what reading line by line raises there.
+    One pass reads the lines in order, checks each against the lines before
+    it, and writes its row straight into the columns that `_build` takes.
+    An id token is looked up by the spelling its VAR line used and read with
+    `int` only when that misses; each distinct energy-token list is read
+    once, and each distinct token converted once.
     """
-    lines = text.splitlines()
-    # per kind of line: line numbers, id tokens, and the rest of each row
-    var, clamp, port, term = ([], [], []), ([], [], []), ([], [], []), ([], [], [])
-    tables: dict[tuple[str, ...], tuple[int, tuple]] = {}
+    ids, roles, labels = [], [], []
+    declared: set[int] = set()
+    spelled: dict[str, int] = {}  # each id as its VAR line spelled it
+    spelled_id = spelled.__getitem__
+    clamps: dict[int, int] = {}
+    flat, arity, tidx = [], [], []  # term ids, one row after another
+    tables: dict[tuple[str, ...], int] = {}  # energy tokens -> index into `distinct`
+    distinct: list[tuple[Fraction, ...]] = []
     parsed: dict[str, Fraction] = {}
-    stop = len(lines) + 1
-    for lineno, raw in enumerate(lines, start=1):
+    ports: list[tuple[str, int]] = []
+    lineno = 0
+
+    def fail(message):
+        raise DumpFormatError(lineno, message) from None
+
+    def number(token, what="variable id"):
+        try:
+            value = int(token)
+        except ValueError:
+            fail(f"bad {what} {token!r}")
+        if what == "variable id" and not -(1 << 63) <= value < 1 << 63:
+            fail(f"bad {what} {token!r}")
+        return value
+
+    def ref(token):
+        vid = spelled.get(token)
+        if vid is None:
+            vid = number(token)
+            if vid not in declared:
+                fail(f"variable {vid} is not declared by an earlier VAR")
+        return vid
+
+    def energy(token):
+        value = parsed.get(token)
+        if value is None:
+            try:
+                value = parsed[token] = Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                fail(f"bad energy {token!r}")
+        return value
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
-        kind, n = tokens[0], len(tokens)
+        kind = tokens[0]
         if kind == "TERM":
-            k = (_ARITY.get(tokens[1]) or _ARITY.get(str(_as_int(tokens[1])))) if n > 1 else None
-            if k is None or n != 3 + k + (1 << k) or tokens[2 + k] != ":":
-                stop = lineno
-                break
+            if len(tokens) < 2:
+                fail("TERM needs an arity")
+            k = _ARITY.get(tokens[1])
+            if k is None:
+                k = number(tokens[1], "arity")
+                if not 1 <= k <= K_MAX:
+                    fail(f"arity {k} outside 1..{K_MAX}")
+            if len(tokens) != 3 + k + (1 << k) or tokens[2 + k] != ":":
+                fail(f"TERM {k} needs {k} ids, ':', then {1 << k} energies")
+            try:
+                row = list(map(spelled_id, tokens[2 : 2 + k]))
+            except KeyError:
+                row = list(map(ref, tokens[2 : 2 + k]))
             energies = tuple(tokens[3 + k :])
-            if energies not in tables:
-                try:
-                    tables[energies] = len(tables), tuple([_fraction(e, parsed) for e in energies])
-                except (ValueError, ZeroDivisionError):
-                    stop = lineno
-                    break
-            term[0].append(lineno)
-            term[1].extend(tokens[2 : 2 + k])
-            term[2].append((k, tables[energies][0]))
-        elif kind == "VAR" and n >= 3 and tokens[2] in _ROLE_CODE:
-            var[0].append(lineno)
-            var[1].append(tokens[1])
-            var[2].append((_ROLE_CODE[tokens[2]], " ".join(tokens[3:]) or None))
-        elif kind == "CLAMP" and n == 3 and tokens[2] in ("0", "1"):
-            clamp[0].append(lineno)
-            clamp[1].append(tokens[1])
-            clamp[2].append(int(tokens[2]))
-        elif kind == "PORT" and allow_ports and n == 3 and tokens[1] in ("in", "out", "anc"):
-            port[0].append(lineno)
-            port[1].append(tokens[2])
-            port[2].append(tokens[1])
+            t = tables.get(energies)
+            if t is None:
+                distinct.append(tuple([energy(token) for token in energies]))
+                t = tables[energies] = len(distinct) - 1
+            if k > 1 and len({*row}) < k:
+                fail(f"term variables must be distinct: {tuple(row)}")
+            flat += row
+            arity.append(k)
+            tidx.append(t)
+        elif kind == "VAR":
+            if len(tokens) < 3:
+                fail("VAR needs <id> <role> [label]")
+            vid = number(tokens[1])
+            if vid in declared:
+                fail(f"duplicate variable id {vid}")
+            if vid < 0:
+                fail(f"variable id must be non-negative, got {vid}")
+            role = _ROLE_CODE.get(tokens[2])
+            if role is None:
+                fail(f"unknown role {tokens[2]!r}")
+            declared.add(vid)
+            spelled[tokens[1]] = vid
+            ids.append(vid)
+            roles.append(role)
+            labels.append(" ".join(tokens[3:]) or None)
+        elif kind == "CLAMP":
+            if len(tokens) != 3 or tokens[2] not in ("0", "1"):
+                fail("CLAMP needs <id> <0|1>")
+            vid = ref(tokens[1])
+            if vid in clamps:
+                fail(f"variable {vid} is already clamped")
+            clamps[vid] = int(tokens[2])
+        elif kind == "PORT" and allow_ports:
+            if len(tokens) != 3 or tokens[1] not in ("in", "out", "anc"):
+                fail("PORT needs <in|out|anc> <id>")
+            vid = ref(tokens[2])
+            if any(v == vid for _, v in ports):
+                fail(f"variable {vid} is already a port")
+            if tokens[1] == "out" and any(p == "out" for p, _ in ports):
+                fail("a gadget has exactly one out port")
+            ports.append((tokens[1], vid))
         else:
-            stop = lineno
-            break
-    var_at, clamp_at, term_at = (np.array(rows[0], dtype=np.int64) for rows in (var, clamp, term))
-    var_ids, clamp_ids, port_ids, term_ids = (_id_column(r[1]) for r in (var, clamp, port, term))
-    arity = np.array([k for k, _ in term[2]], dtype=np.int64)
-    tidx = np.array([t for _, t in term[2]], dtype=np.intp)
-    terms = _Rows(_padded(term_ids, arity), arity, tidx, tuple(t for _, t in tables.values()))
-    model = None
-    try:
-        model = _build(var_ids, np.array([r for r, _ in var[2]], dtype=np.int8),
-                       [label for _, label in var[2]], terms, clamp_ids, clamp[2],
-                       (var_at, term_at, clamp_at))
-    except DumpFormatError as exc:
-        stop = exc.line
-    # a port names a variable declared before it, once; one port is out
-    ports: list[tuple[str, int]] = []
-    declared_on: dict[int, int] = {}
-    for vid, line in zip(var_ids.tolist() if port[0] else (), var[0]):
-        declared_on.setdefault(vid, line)
-    for line, vid, kind in zip(port[0], port_ids.tolist(), port[2]):
-        if line > stop or (declared_on.get(vid, line) >= line or any(v == vid for _, v in ports)
-                           or kind == "out" and any(k == "out" for k, _ in ports)):
-            stop = min(stop, line)
-            break
-        ports.append((kind, vid))
-    if model is None or stop <= len(lines):
-        tokens = lines[stop - 1].split("#", 1)[0].split()
-        declared = set(var_ids[var_at < stop].tolist())
-        _line_error(tokens, stop, declared, [p for p, line in zip(ports, port[0]) if line < stop],
-                    allow_ports)
+            fail(f"unknown statement {kind!r}")
+    terms = _Rows(_padded(_ids(flat), arity), np.array(arity, dtype=np.int64),
+                  np.array(tidx, dtype=np.intp), tuple(distinct))
+    model = _build(_ids(ids), np.array(roles, dtype=np.int8), labels, terms,
+                   _ids(list(clamps)), list(clamps.values()))
     return model, ports
 
 

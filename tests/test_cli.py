@@ -285,6 +285,10 @@ def test_solve_gadget_dump_with_ports(tmp_path, capsys):
     code, _, stderr = run(capsys, "solve", str(path))
     assert code == 1
     assert "line 3: variable 3 is not declared" in stderr
+    path.write_text("VAR 0 wire\nTERM 1 1 : 0 1\nVAR 1 wire\n")  # a use before its VAR
+    code, stdout, stderr = run(capsys, "solve", str(path))
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: line 2: variable 1 is not declared by an earlier VAR\n"
 
 
 FLIPPER_SPEC = "STATE q\nSTART q\nDELTA q 0 -> q 1 U\nDELTA q 1 -> q 0 U\n"

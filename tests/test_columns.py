@@ -3,6 +3,7 @@ line-by-line oracle, object round trips, and placement that is not
 injective."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,17 +13,26 @@ import groundlogic as gl
 from util import FLIPPER, random_netlist, reference_parse_statements
 
 ENERGIES = ("0", "1", "-2", "1/2", "3/4", "-5/3", "0.25")
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _spelled(draw, v):
+    """Id v as written on a dump line: mostly plain, sometimes in another
+    spelling that `int` reads as v."""
+    return draw(st.sampled_from((str(v), str(v), str(v), f"0{v}", f"+{v}", f"0_{v}",
+                                 str(v).translate(ARABIC_INDIC))))
 
 
 @st.composite
 def valid_dump_lines(draw, ports=False):
     """Lines of a valid dump: VARs, then CLAMP and TERM lines (with comments
-    and blanks), and, for gadget dumps, one PORT line per variable."""
+    and blanks), and, for gadget dumps, one PORT line per variable.  Id
+    tokens are sometimes respelled (`_spelled`)."""
     n = draw(st.integers(1, 6))
     ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
     roles = st.sampled_from(gl.model.ROLES)
-    lines = [f"VAR {v} {draw(roles)}" + draw(st.sampled_from(("", " a label", "  # note")))
-             for v in ids]
+    lines = [f"VAR {_spelled(draw, v)} {draw(roles)}"
+             + draw(st.sampled_from(("", " a label", "  # note"))) for v in ids]
     pool = [draw(st.lists(st.sampled_from(ENERGIES), min_size=1 << k, max_size=1 << k))
             for k in (1, 2, 3)]
     clamped = set()
@@ -31,16 +41,18 @@ def valid_dump_lines(draw, ports=False):
             vars_ = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=min(3, n), unique=True))
             energies = pool[len(vars_) - 1] if draw(st.booleans()) else draw(
                 st.lists(st.sampled_from(ENERGIES), min_size=1 << len(vars_), max_size=1 << len(vars_)))
-            lines.append(f"TERM {len(vars_)} {' '.join(map(str, vars_))} : {' '.join(energies)}")
+            spelled = " ".join(_spelled(draw, v) for v in vars_)
+            lines.append(f"TERM {len(vars_)} {spelled} : {' '.join(energies)}")
         elif len(clamped) < n:
             v = draw(st.sampled_from([v for v in ids if v not in clamped]))
             clamped.add(v)
-            lines.append(f"CLAMP {v} {draw(st.integers(0, 1))}")
+            lines.append(f"CLAMP {_spelled(draw, v)} {draw(st.integers(0, 1))}")
         else:
             lines.append(draw(st.sampled_from(("", "# comment", "   "))))
     if ports:
         kinds = ["out"] + ["in"] * (n - 1)
-        lines += [f"PORT {kind} {v}" for kind, v in zip(kinds, draw(st.permutations(ids)))]
+        lines += [f"PORT {kind} {_spelled(draw, v)}"
+                  for kind, v in zip(kinds, draw(st.permutations(ids)))]
     return lines, ids
 
 
@@ -199,3 +211,39 @@ def test_wire_chain_coupling_is_checked_at_compile_time(coupling):
     with pytest.raises(gl.ModelError, match="coupling must be positive"):
         gl.compile_netlist(nl, wire_chains={"y": 3}, wire_coupling=coupling)
     assert gl.compile_netlist(nl, wire_coupling=coupling).edc  # no chain, nothing to check
+
+
+NOT_NET = "INPUT a\nOUTPUT y\nGATE NOT a -> y\n"
+
+
+def test_plan_reading_an_undeclared_variable_is_refused():
+    net = gl.compile_netlist(gl.parse_netlist(NOT_NET))  # ids 0..n-1
+    assert net.model.var_ids == (0, 1)
+    for arg in (5, 7):
+        bad = replace(net, forcings=gl.model.Plan([gl.Forcing(1, (arg,), (1, 0))]))
+        with pytest.raises(gl.ModelError, match="reads an undeclared variable"):
+            bad.ground_states()
+    sparse = gl.EnergyModel([gl.Variable(0), gl.Variable(5)], [gl.EnergyTerm((0, 5), (1, 0, 0, 1))])
+    plan = gl.model.Plan([gl.Forcing(5, (9,), (1, 0))])
+    with pytest.raises(gl.ModelError, match="reads an undeclared variable"):
+        gl.model._ground_set(sparse, plan, 1 << 10)
+    ok = gl.model.Plan([gl.Forcing(5, (0,), (1, 0))])
+    assert gl.model._ground_set(sparse, ok, 1 << 10) == (0, [{0: 0, 5: 1}, {0: 1, 5: 0}])
+
+
+def test_plan_on_a_model_without_variables_is_refused():
+    plan = gl.model.Plan([gl.Forcing(0, (1,), (1, 0))])
+    with pytest.raises(gl.ModelError, match="assigns an undeclared variable"):
+        gl.model._ground_set(gl.EnergyModel(()), plan, 1 << 10)
+
+
+def test_plan_table_of_the_wrong_length_is_refused():
+    with pytest.raises(gl.ModelError, match="arity 1 needs 2 entries, got 1"):
+        gl.model.Plan([gl.Forcing(1, (0,), (1,))])
+    with pytest.raises(gl.ModelError, match="arity 1 needs 2 entries, got 4"):
+        gl.model.Plan([gl.Forcing(2, (0, 1), (0, 0, 0, 1)), gl.Forcing(3, (2,), (0, 0, 0, 1))])
+
+
+def test_plan_table_entries_must_be_bits():
+    with pytest.raises(gl.ModelError, match="entries must be 0 or 1"):
+        gl.model.Plan([gl.Forcing(1, (0,), (2, 0))])

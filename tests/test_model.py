@@ -271,6 +271,23 @@ def test_dump_port_lines_only_when_allowed():
     assert gl.format_model(m) == text.split("PORT")[0]
 
 
+@pytest.mark.parametrize("label", ["a#b", "#", "", "a  b", " a", "a ", "a\tb", "a\nCLAMP 0 1"])
+def test_format_refuses_a_label_that_would_not_read_back(label):
+    m = gl.EnergyModel([gl.Variable(0, "wire", "a b"), gl.Variable(1, "wire", label)])
+    with pytest.raises(gl.ModelError, match="does not read back"):
+        gl.format_model(m)
+
+
+def test_format_refuses_a_net_name_that_would_not_read_back():
+    nl = gl.Netlist(inputs=["a"], outputs=["y#1"])
+    nl.gates.append(gl.Gate("NOT", ("a",), "y#1"))
+    net = gl.compile_netlist(nl)
+    with pytest.raises(gl.ModelError, match="'y#1' does not read back"):
+        gl.format_model(net.model)
+    fine = gl.EnergyModel([gl.Variable(0, "wire", "x_1 y"), gl.Variable(1, "wire", None)])
+    assert gl.parse_model(gl.format_model(fine)) == fine
+
+
 @st.composite
 def scan_models(draw):
     """Small models with fractional tables, optionally scaled to 2**62 (the
