@@ -14,13 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .anneal import AnnealSchedule, metropolis_anneal, NothingToDoError
-from .bias import HierarchyError, assemble_usqc
+from .anneal import AnnealSchedule, metropolis_anneal
+from .bias import assemble_usqc
 from .gadgets import check_edc, parse_gadget
 from .model import (
     DEFAULT_CAP,
     CapacityError,
-    DumpFormatError,
     ModelError,
     _ground_matrix,
     format_model,
@@ -28,14 +27,12 @@ from .model import (
 )
 from .netbuilder import compile_netlist
 from .netlist import (
-    DimacsFormatError,
     NetlistError,
-    NetlistFormatError,
     encode_cnf,
     parse_dimacs,
     parse_netlist,
 )
-from .turing import DtmError, DtmFormatError, build_lattice, parse_dtm, verify_ground_histories
+from .turing import build_lattice, parse_dtm, verify_ground_histories
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -257,16 +254,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DumpFormatError, NetlistFormatError, DimacsFormatError, DtmFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (HierarchyError, NothingToDoError, ModelError, NetlistError, DtmError) as exc:
+    except (UsageError, ModelError, NetlistError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

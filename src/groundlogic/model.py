@@ -30,12 +30,14 @@ into a tuple of the distinct Fraction tables.  Variables are an id array,
 role codes into ROLES and a label list; a forcing plan (`Plan`) is an array
 of forced variables beside `_Rows` of their arguments and 0/1 tables.
 `.variables`, `.terms` and iterating a `Plan` build the objects on demand;
-the library reads only the columns.  Every model comes out of one checking
-constructor, `_build`, whose checks run in bulk (`_check`): declared ids by
-a sorted search, distinct ids per row by sorting along the rows, and table
-lengths.  The dump reader (`parse_statements`) is one pass that checks
-each line against the lines before it, raises at the first defect, and
-writes the rows straight into the columns it hands to `_build`.  Gadget
+the library reads only the columns.  The checking constructor, `_build`,
+checks its columns in bulk (`_check`): declared ids by a sorted search,
+distinct ids per row by sorting along the rows, and table lengths; then it
+assembles the model (`_assemble`).  `with_terms` and `with_clamps` check
+only what they add.  The dump reader (`parse_statements`) is one pass that
+checks each line against the lines before it, raises at the first defect,
+and writes the rows straight into the columns; by then it has made every
+check of `_check`, so it assembles the model without them.  Gadget
 copies and lattice cells are placed by `_stamp`: one fancy index of their
 columns, over slots, through slot-to-id maps.
 
@@ -304,6 +306,12 @@ class _Blocks(NamedTuple):
     forcing_cut: np.ndarray
 
 
+def _check_maps(maps: np.ndarray) -> None:
+    """Raise ModelError unless each map row is injective on its ids."""
+    if _repeats(maps).any():
+        raise ModelError("placement maps two variables to one")
+
+
 def _stamp(blocks: _Blocks, which, maps: np.ndarray, map_rows=None) -> _Blocks:
     """Copy i of block which[i] renamed through map row maps[map_rows[i]]
     (row i by default); the copies, in order, are the result's blocks.
@@ -312,8 +320,7 @@ def _stamp(blocks: _Blocks, which, maps: np.ndarray, map_rows=None) -> _Blocks:
     index; each map row must be injective.  All copies' terms are one fancy
     index of the blocks' columns through the maps, and so are their forcings.
     """
-    if _repeats(maps).any():
-        raise ModelError("placement maps two variables to one")
+    _check_maps(maps)
     which = np.asarray(which, dtype=np.intp)
     map_rows = np.arange(len(which)) if map_rows is None else np.asarray(map_rows)
 
@@ -416,9 +423,14 @@ def _build(ids, roles, labels, terms: _Rows, clamp_ids=_NO_IDS, clamp_bits=(),
     """The one checking constructor: a model from columns (`roles` are codes
     into ROLES), checked by `_check`."""
     _check(ids, terms, clamp_ids, clamp_bits)
+    return _assemble(ids, roles, labels, terms, dict(zip(clamp_ids.tolist(), clamp_bits)), model)
+
+
+def _assemble(ids, roles, labels, terms: _Rows, clamps: dict, model=None) -> "EnergyModel":
+    """A model from columns its caller has checked; `clamps` maps ids to bits."""
     model = object.__new__(EnergyModel) if model is None else model
     model._ids, model._roles, model._labels, model._terms = ids, roles, labels, terms
-    model.clamps = dict(zip(clamp_ids.tolist(), clamp_bits))
+    model.clamps = clamps
     return model
 
 
@@ -477,10 +489,7 @@ class EnergyModel:
     def _copy(self, terms: _Rows, clamps) -> "EnergyModel":
         """A model over the same variables, unchecked: the caller has
         checked whatever it changed."""
-        copy = object.__new__(EnergyModel)
-        copy._ids, copy._roles, copy._labels = self._ids, self._roles, self._labels
-        copy._terms, copy.clamps = terms, clamps
-        return copy
+        return _assemble(self._ids, self._roles, self._labels, terms, clamps)
 
     def _rows(self, ids) -> np.ndarray:
         """The value-matrix rows (id order) of declared ids."""
@@ -1010,7 +1019,8 @@ def parse_statements(text: str, allow_ports: bool = False):
     Raises DumpFormatError at the first line with a defect.
 
     One pass reads the lines in order, checks each against the lines before
-    it, and writes its row straight into the columns that `_build` takes.
+    it, and writes its row straight into the model's columns; having made
+    every check of `_check` line by line, it skips `_build`'s bulk pass.
     An id token is looked up by the spelling its VAR line used and read with
     `int` only when that misses; each distinct energy-token list is read
     once, and each distinct token converted once.
@@ -1121,8 +1131,7 @@ def parse_statements(text: str, allow_ports: bool = False):
             fail(f"unknown statement {kind!r}")
     terms = _Rows(_padded(_ids(flat), arity), np.array(arity, dtype=np.int64),
                   np.array(tidx, dtype=np.intp), tuple(distinct))
-    model = _build(_ids(ids), np.array(roles, dtype=np.int8), labels, terms,
-                   _ids(list(clamps)), list(clamps.values()))
+    model = _assemble(_ids(ids), np.array(roles, dtype=np.int8), labels, terms, clamps)
     return model, ports
 
 

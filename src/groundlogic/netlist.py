@@ -87,8 +87,8 @@ class Netlist:
         return drivers
 
     def validate(self) -> list[Gate]:
-        """Check drivers, reads and acyclicity; returns the gates in
-        dependency order (`topo_gates`)."""
+        """Check drivers, reads and acyclicity; returns the gates in the
+        order `kahn_order` gives them (`topo_gates`)."""
         drivers = self.driver_map()
         for g in self.gates:
             for n in g.inputs:
@@ -97,38 +97,51 @@ class Netlist:
         for n in self.outputs:
             if n not in drivers and n not in self.inputs:
                 raise NetlistError(f"declared output {n!r} is never driven")
-        return self._kahn(drivers)
+        return self._kahn()
 
     def topo_gates(self) -> list[Gate]:
-        """Gates in dependency order (Kahn); raises CycleError on feedback."""
-        return self._kahn(self.driver_map())
+        """Gates in `kahn_order` over their input and output nets, after
+        the driver checks; raises CycleError on feedback."""
+        self.driver_map()
+        return self._kahn()
 
-    def _kahn(self, drivers: dict[str, Gate]) -> list[Gate]:
-        in_deg = []
-        consumers: dict[str, list[int]] = {}
-        for idx, g in enumerate(self.gates):
-            deg = 0
-            for n in g.inputs:
-                if n in drivers:
-                    deg += 1
-                    consumers.setdefault(n, []).append(idx)
-            in_deg.append(deg)
-        queue = [i for i, d in enumerate(in_deg) if d == 0]
-        order: list[Gate] = []
-        head = 0
-        while head < len(queue):
-            idx = queue[head]
-            head += 1
-            gate = self.gates[idx]
-            order.append(gate)
-            for consumer in consumers.get(gate.output, ()):
-                in_deg[consumer] -= 1
-                if in_deg[consumer] == 0:
-                    queue.append(consumer)
-        if len(order) != len(self.gates):
-            stuck = [self.gates[i].output for i, d in enumerate(in_deg) if d > 0]
+    def _kahn(self) -> list[Gate]:
+        gates = self.gates
+        order = kahn_order([g.inputs for g in gates], [g.output for g in gates])
+        if len(order) < len(gates):
+            placed = set(order)
+            stuck = [g.output for i, g in enumerate(gates) if i not in placed]
             raise CycleError(f"combinational cycle through nets {stuck[:4]}")
-        return order
+        return [gates[i] for i in order]
+
+
+def kahn_order(reads, drives) -> list[int]:
+    """Kahn's FIFO topological order of gates (Kahn, CACM 5, 1962).
+
+    Gate i reads the nets `reads[i]`, a repeated net counted each time, and
+    drives the net `drives[i]`, which no other gate drives; nets are any
+    hashable values, and a net no gate drives is an input.  The queue is
+    seeded with every gate that reads no driven net, in gate order, and a
+    dequeued gate releases the readers of its net in gate order.  Returns
+    gate indices, fewer than the gates when they form a cycle.  Netlists
+    and machine lattices are both ordered here.
+    """
+    readers = {n: [] for n in drives}  # the gates reading each driven net
+    in_deg = []
+    for i, nets in enumerate(reads):
+        deg = 0
+        for n in nets:
+            if n in readers:
+                readers[n].append(i)
+                deg += 1
+        in_deg.append(deg)
+    order = [i for i, d in enumerate(in_deg) if not d]
+    for i in order:  # the loop reads the gates appended while it runs
+        for r in readers[drives[i]]:
+            in_deg[r] -= 1
+            if not in_deg[r]:
+                order.append(r)
+    return order
 
 
 def gate_value(gate: Gate, bits: tuple[int, ...]) -> int:

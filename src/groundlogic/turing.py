@@ -30,10 +30,12 @@ the order below (`model._stamp`).  The ids are those a flat compile of the
 p^2 renamed cell netlists would give: register row 1; the boundary bus
 bits, in cell order; then net k of cell c (row-major) at base + c*K + k,
 where k orders the nets by first appearance in the cell's gate list.
+The wiring is written down once, in those maps (`_wire_cells`): a cell's
+R and in-bus slots hold the ids of the neighbours' W and out-bus nets.
 Ancilla ids, terms, forcings and the order of the element counts follow
-Kahn's order over all p^2 G gates: a FIFO queue seeded with every gate of
-in-degree 0 in cell-major order, and a cell output consumed by the
-neighbour's gates that read the matching port, in gate order.
+`netlist.kahn_order`, the netlists' own order, run over all p^2 G gate
+copies in cell-major order on the ids each copy reads and drives, as its
+cell's map gives them.
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ import numpy as np
 
 from .logic import TruthFunction
 from .model import (
-    _ROLE_CODE, Assignment, DEFAULT_CAP, ModelError, _build, _map_array, _stamp, as_energy,
+    _ROLE_CODE, Assignment, DEFAULT_CAP, ModelError, _build, _check_maps, _map_array, _stamp,
+    as_energy,
 )
 from .netbuilder import POLICIES, ComplexityReport, Network, _GateGadgets, clamp_inputs
-from .netlist import Netlist, netlist_from_bit_functions
+from .netlist import Netlist, kahn_order, netlist_from_bit_functions
 
 MOVE_UP = "U"
 MOVE_DOWN = "D"
@@ -261,24 +264,10 @@ class _CellGate(NamedTuple):
     """One gate of the cell control, compiled over cell slots."""
 
     key: tuple
+    reads: tuple[int, ...]  # the slots of its inputs, repeats kept
     out_slot: int
     ancillae: range  # its ancilla slots
     suffixes: tuple[str, ...]  # their label suffixes
-    deg: int  # inputs driven inside the cell, repeats counted
-    pins: tuple[int, ...]  # cell-input slots read, repeats counted
-    inner: tuple[int, ...]  # gates of the cell reading the output, in gate order
-    outer: tuple[int, tuple[int, ...]] | None  # (port kind, neighbour's readers)
-
-
-# The ports a neighbour reads a cell's outputs on: kind 0 is W, read as R by
-# (i+1, j); kind 1 the down bus, read by (i+1, j-1); kind 2 the up bus, read
-# by (i+1, j+1).
-def _port_reads(s: int) -> dict[str, tuple[int, str]]:
-    reads = {"w": (0, "r")}
-    for b in range(s):
-        reads[f"od{b}"] = (1, f"id{b}")
-        reads[f"ou{b}"] = (2, f"iu{b}")
-    return reads
 
 
 def _compile_cell(f: SfscFunction, gadgets: _GateGadgets):
@@ -297,11 +286,6 @@ def _compile_cell(f: SfscFunction, gadgets: _GateGadgets):
         for n in (*gate.inputs, gate.output):
             slot.setdefault(n, len(slot))
     n_slots = len(slot)
-    readers: dict[str, list[int]] = {}
-    for h, gate in enumerate(sub.gates):
-        for n in gate.inputs:
-            readers.setdefault(n, []).append(h)
-    port_reads = _port_reads(f.bus_width)
     cell, blocks, maps = [], [], []
     for gate in sub.gates:
         key, g, block, ancillae, unique_ins = gadgets.resolve(gate)
@@ -313,14 +297,9 @@ def _compile_cell(f: SfscFunction, gadgets: _GateGadgets):
             row[a] = n_slots + k
         blocks.append(block)
         maps.append(row)
-        read = port_reads.get(gate.output)
         cell.append(_CellGate(
-            key, slot[gate.output],
+            key, tuple(slot[n] for n in gate.inputs), slot[gate.output],
             range(n_slots, n_slots + len(ancillae)), tuple(sfx for _, sfx in ancillae),
-            deg=sum(1 for n in gate.inputs if slot[n] >= n_in),
-            pins=tuple(slot[n] for n in gate.inputs if slot[n] < n_in),
-            inner=tuple(readers.get(gate.output, ())),
-            outer=None if read is None else (read[0], tuple(readers.get(read[1], ()))),
         ))
         n_slots += len(ancillae)
     return list(slot)[n_in:], cell, _stamp(gadgets.blocks(), blocks, _map_array(maps))
@@ -376,43 +355,6 @@ def _wire_cells(p: int, s: int, head_start: int, start_code: int, nets: list[str
     return labels, n_inputs, clamp_bits, maps
 
 
-def _gate_order(cell: list[_CellGate], p: int, s: int) -> list[int]:
-    """Kahn's algorithm over the p^2 G gates, gate c*G + g being gate g of
-    cell c: FIFO, seeded in cell-major order, in-degrees counting repeated
-    inputs, and consumers in gate order (the cell's own readers of an
-    output, then its neighbour's readers of the port)."""
-    G = len(cell)
-    cells = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
-    indeg = []
-    rows: dict[tuple, list[int]] = {}  # one per pattern of driven cell inputs
-    for i, j in cells:
-        driven = (i > 1, i > 1 and j < p, i > 1 and j > 1)
-        if driven not in rows:
-            by_slot = [driven[0]] + [driven[1]] * s + [driven[2]] * s
-            rows[driven] = [t.deg + sum(by_slot[q] for q in t.pins) for t in cell]
-        indeg += rows[driven]
-    neighbours = [(i < p, i < p and j > 1, i < p and j < p) for i, j in cells]
-    shift = (p * G, (p - 1) * G, (p + 1) * G)
-    order = [x for x, d in enumerate(indeg) if not d]
-    for x in order:
-        c, g = divmod(x, G)
-        at = x - g
-        t = cell[g]
-        for h in t.inner:
-            indeg[at + h] -= 1
-            if not indeg[at + h]:
-                order.append(at + h)
-        if t.outer is not None and neighbours[c][t.outer[0]]:
-            at += shift[t.outer[0]]
-            for h in t.outer[1]:
-                indeg[at + h] -= 1
-                if not indeg[at + h]:
-                    order.append(at + h)
-    if len(order) != p * p * G:
-        raise DtmError("internal error: lattice wiring has a cycle")
-    return order
-
-
 def build_lattice(
     dtm: DtmSpec,
     p: int,
@@ -444,35 +386,44 @@ def build_lattice(
         raise ModelError(f"unknown policy {policy!r}")
     gadgets = _GateGadgets(policy, as_energy(penalty), None)
     nets, cell, compiled = _compile_cell(f, gadgets)
-    labels, n_inputs, clamp_bits, maps = _wire_cells(p, s, head_start, dtm.code(dtm.start), nets)
+    labels, n_inputs, clamp_bits, rows = _wire_cells(p, s, head_start, dtm.code(dtm.start), nets)
     n_nets = len(labels)
     w_slot = 1 + 2 * s + nets.index("w")
     register_var = {
-        (i, j): j - 1 if i == 1 else maps[(i - 2) * p + j - 1][w_slot]
+        (i, j): j - 1 if i == 1 else rows[(i - 2) * p + j - 1][w_slot]
         for i in range(1, p + 2)
         for j in range(1, p + 1)
     }
     cells = [(i, j) for i in range(1, p + 1) for j in range(1, p + 1)]
-    inbus_down = {key: tuple(m[1 : 1 + s]) for key, m in zip(cells, maps)}
-    inbus_up = {key: tuple(m[1 + s : 1 + 2 * s]) for key, m in zip(cells, maps)}
+    inbus_down = {key: tuple(m[1 : 1 + s]) for key, m in zip(cells, rows)}
+    inbus_up = {key: tuple(m[1 + s : 1 + 2 * s]) for key, m in zip(cells, rows)}
 
-    # Placement x = c*G + g is gate g of cell c.  Ancilla ids follow the
-    # gate order; so do the gadgets' first uses, which order the element
-    # counts.
+    # Cell c's map row: the ids of its input and net slots, its ancilla
+    # slots (-1 until placed), and a last -1 that pads a gate's reads.
     G = len(cell)
-    c_of, g_of = np.divmod(np.array(_gate_order(cell, p, s), dtype=np.intp), G)
     n_anc = np.array([len(t.suffixes) for t in cell], dtype=np.int64)
     anc_at = np.array([t.ancillae.start for t in cell], dtype=np.int64)
-    maps = np.array(maps, dtype=np.int64).reshape(p * p, -1)
-    maps = np.hstack([maps, np.zeros((p * p, int(n_anc.sum())), dtype=np.int64),
-                      np.full((p * p, 1), -1, dtype=np.int64)])
+    maps = np.hstack([np.array(rows, dtype=np.int64),
+                      np.full((p * p, int(n_anc.sum()) + 1), -1, dtype=np.int64)])
+    _check_maps(maps)
+    # Gate copy x = c*G + g is gate g of cell c; it reads and drives the ids
+    # its cell's map gives its slots, and Kahn's order over the copies gives
+    # the ancilla ids and the gadgets' first uses, which order the element
+    # counts.
+    width = max(len(t.reads) for t in cell)
+    reads = maps[:, [t.reads + (-1,) * (width - len(t.reads)) for t in cell]]
+    drives = maps[:, [t.out_slot for t in cell]]
+    order = kahn_order(reads.reshape(-1, width).tolist(), drives.ravel().tolist())
+    if len(order) != p * p * G:
+        raise DtmError("internal error: lattice wiring has a cycle")
+    c_of, g_of = np.divmod(np.array(order, dtype=np.intp), G)
     sizes = n_anc[g_of]
     first = n_nets + np.cumsum(sizes) - sizes
     x = np.repeat(np.arange(len(g_of)), sizes)
     k = np.arange(len(x)) + n_nets - first[x]
     maps[c_of[x], anc_at[g_of[x]] + k] = first[x] + k
     has = np.flatnonzero(sizes)
-    outs = maps[c_of[has], np.array([t.out_slot for t in cell])[g_of[has]]]
+    outs = drives[c_of[has], g_of[has]]
     names = list(labels)  # the nets, then every ancilla
     for out, g in zip(outs.tolist(), g_of[has].tolist()):
         names += [f"{labels[out]}.{sfx}" for sfx in cell[g].suffixes]

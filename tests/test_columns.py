@@ -231,6 +231,23 @@ def test_plan_reading_an_undeclared_variable_is_refused():
     assert gl.model._ground_set(sparse, ok, 1 << 10) == (0, [{0: 0, 5: 1}, {0: 1, 5: 0}])
 
 
+NOT_NOT = "INPUT a\nOUTPUT y\nGATE NOT a -> t\nGATE NOT t -> y\n"
+
+
+def test_plan_assigning_a_variable_twice_is_refused():
+    net = gl.compile_netlist(gl.parse_netlist(NOT_NOT))
+    bad = replace(net, forcings=gl.model.Plan(net.plan + net.plan[:1]))
+    with pytest.raises(gl.ModelError, match=r"forcing plan assigns variable \d+ twice"):
+        bad.ground_states()
+
+
+def test_plan_reading_a_variable_before_it_is_set_is_refused():
+    net = gl.compile_netlist(gl.parse_netlist(NOT_NOT))
+    bad = replace(net, forcings=gl.model.Plan(net.plan[::-1]))
+    with pytest.raises(gl.ModelError, match="forcing plan reads a variable before a forcing sets it"):
+        bad.ground_states()
+
+
 def test_plan_on_a_model_without_variables_is_refused():
     plan = gl.model.Plan([gl.Forcing(0, (1,), (1, 0))])
     with pytest.raises(gl.ModelError, match="assigns an undeclared variable"):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -43,6 +44,16 @@ def test_cycle_detected():
     nl.gates.append(gl.Gate("NOT", ("t",), "y"))
     with pytest.raises(gl.CycleError):
         nl.validate()
+    # the stuck nets, in gate order and at most four; b's gate ran
+    nl = gl.Netlist(inputs=["a"], outputs=["y"], gates=[
+        gl.Gate("NOT", ("a",), "b"), gl.Gate("AND", ("b", "y"), "c"), gl.Gate("NOT", ("c",), "d"),
+        gl.Gate("NOT", ("d",), "e"), gl.Gate("NOT", ("e",), "f"), gl.Gate("NOT", ("f",), "y"),
+    ])
+    message = "combinational cycle through nets ['c', 'd', 'e', 'f']"
+    with pytest.raises(gl.CycleError, match=f"^{re.escape(message)}$"):
+        nl.validate()
+    with pytest.raises(gl.NetlistFormatError, match=f"^line 8: {re.escape(message)}$"):
+        gl.parse_netlist(gl.format_netlist(nl))
 
 
 def test_validate_builds_the_driver_map_once(monkeypatch):
