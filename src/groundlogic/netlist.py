@@ -4,7 +4,8 @@ Netlists are purely combinational descriptions over named nets with a
 single driver per net.  Direct evaluation here is the reference oracle the
 energy-compilation path is checked against.  The module also owns the two
 text input formats (netlist statements and DIMACS CNF) and the translation
-of truth tables and CNF formulas into AND/OR/NOT netlists.
+of truth tables and CNF formulas into AND/OR/NOT netlists, where `_chain`
+builds every multi-input gate of both syntheses.
 """
 
 from __future__ import annotations
@@ -190,17 +191,18 @@ def format_netlist(nl: Netlist) -> str:
 
 def parse_netlist(text: str) -> Netlist:
     nl = Netlist()
-    output_lines: dict[str, int] = {}
+    declared: dict[tuple[str, str], int] = {}  # (INPUT or OUTPUT, net) -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "INPUT" and len(tokens) == 2:
-            nl.inputs.append(tokens[1])
-        elif tokens[0] == "OUTPUT" and len(tokens) == 2:
-            nl.outputs.append(tokens[1])
-            output_lines.setdefault(tokens[1], lineno)
+        if tokens[0] in ("INPUT", "OUTPUT") and len(tokens) == 2:
+            key = (tokens[0], tokens[1])
+            if key in declared:
+                raise NetlistFormatError(lineno, f"{' '.join(key)} repeats line {declared[key]}")
+            declared[key] = lineno
+            (nl.inputs if key[0] == "INPUT" else nl.outputs).append(tokens[1])
         elif tokens[0] == "GATE":
             if "->" not in tokens or tokens.index("->") != len(tokens) - 2:
                 raise NetlistFormatError(lineno, "GATE needs <kind> <in...> -> <out>")
@@ -217,8 +219,8 @@ def parse_netlist(text: str) -> Netlist:
         else:
             raise NetlistFormatError(lineno, f"unknown statement {tokens[0]!r}")
     driven = {g.output for g in nl.gates} | set(nl.inputs)
-    for net, lineno in output_lines.items():
-        if net not in driven:
+    for (statement, net), lineno in declared.items():
+        if statement == "OUTPUT" and net not in driven:
             raise NetlistFormatError(lineno, f"declared output {net!r} is never driven")
     try:
         nl.validate()
@@ -262,6 +264,8 @@ def parse_dimacs(text: str) -> Cnf:
         if not line or line.startswith("c") or line.startswith("%"):
             continue
         if line.startswith("p"):
+            if header_line:
+                raise DimacsFormatError(lineno, f"problem line repeats line {header_line}")
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsFormatError(lineno, f"bad problem line {line!r}")
@@ -332,14 +336,25 @@ class _NetNamer:
         return f"{self.prefix}{stem}{self.counter}"
 
 
-def _chain(nl: Netlist, kind: str, nets: list[str], namer: _NetNamer) -> str:
-    """Left-to-right 2-input chain; returns the net carrying the result."""
+def _chain(nl: Netlist, kind: str, nets: list[str], namer: _NetNamer, output=None, stem=None):
+    """Left-to-right 2-input chain of `kind` gates over `nets`; returns the
+    net carrying the result.  Every multi-input gate of SOP and CNF
+    synthesis is built here.  The last gate drives `output` when it is
+    given; every other gate drives a fresh net named from `stem` (by default
+    the kind, lower-cased).  A single net comes back as is, with no gate.
+    """
     acc = nets[0]
-    for net in nets[1:]:
-        out = namer.fresh(kind.lower())
-        nl.gates.append(Gate(kind, (acc, net), out))
+    if len(nets) == 1:
+        return acc
+    stem = kind.lower() if stem is None else stem
+    gates = nl.gates
+    for net in nets[1:-1]:
+        out = namer.fresh(stem)
+        gates.append(Gate(kind, (acc, net), out))
         acc = out
-    return acc
+    out = namer.fresh(stem) if output is None else output
+    gates.append(Gate(kind, (acc, nets[-1]), out))
+    return out
 
 
 def _not_net(nl: Netlist, net: str, cache: dict[str, str], namer: _NetNamer) -> str:
@@ -358,9 +373,10 @@ def decompose_to_basis(
 ) -> Netlist:
     """Two-level sum-of-products netlist over {AND, OR, NOT} computing fn.
 
-    Multi-literal products and the final sum are built as 2-input chains so
-    every emitted gate is a basic element.  Constant functions compile to
-    x AND NOT x / x OR NOT x over the first input.
+    Multi-literal products and the final sum are `_chain`s of 2-input gates,
+    so every emitted gate is a basic element.  Constant functions compile to
+    x AND NOT x / x OR NOT x over the first input, and a bare literal (arity
+    1) reaches the output through a double inverter.
     """
     if fn.arity < 1:
         raise NetlistError("decomposition needs at least one input")
@@ -374,40 +390,19 @@ def decompose_to_basis(
     minterms = fn.minterms()
     if fn.is_constant:
         nx = _not_net(nl, ins[0], not_cache, namer)
-        nl.gates.append(Gate("OR" if minterms else "AND", (ins[0], nx), output))
+        _chain(nl, "OR" if minterms else "AND", [ins[0], nx], namer, output)
         return nl
 
-    single_product = len(minterms) == 1
-    sum_nets: list[str] = []
+    last = output if len(minterms) == 1 else None  # a lone product drives the output
+    products = []
     for m in minterms:
-        literals = []
-        for j in range(fn.arity):
-            if (m >> j) & 1:
-                literals.append(ins[j])
-            else:
-                literals.append(_not_net(nl, ins[j], not_cache, namer))
-        if len(literals) == 1:
-            sum_nets.append(literals[0])
-        else:
-            acc = literals[0]
-            for idx, net in enumerate(literals[1:]):
-                last = single_product and idx == len(literals) - 2
-                out = output if last else namer.fresh(f"m{m}_")
-                nl.gates.append(Gate("AND", (acc, net), out))
-                acc = out
-            sum_nets.append(acc)
-
-    if len(sum_nets) == 1:
-        if sum_nets[0] != output:
-            # single bare literal (arity 1): materialize via a double inverter
-            mid = _not_net(nl, sum_nets[0], not_cache, namer)
-            nl.gates.append(Gate("NOT", (mid,), output))
-        return nl
-    acc = sum_nets[0]
-    for idx, net in enumerate(sum_nets[1:]):
-        out = output if idx == len(sum_nets) - 2 else namer.fresh("or")
-        nl.gates.append(Gate("OR", (acc, net), out))
-        acc = out
+        lits = [ins[j] if m >> j & 1 else _not_net(nl, ins[j], not_cache, namer)
+                for j in range(fn.arity)]
+        products.append(_chain(nl, "AND", lits, namer, last, f"m{m}_"))
+    if _chain(nl, "OR", products, namer, output) != output:
+        # single bare literal (arity 1): materialize via a double inverter
+        mid = _not_net(nl, products[0], not_cache, namer)
+        nl.gates.append(Gate("NOT", (mid,), output))
     return nl
 
 
@@ -443,39 +438,22 @@ def encode_cnf(cnf: Cnf, output: str = "sat") -> Netlist:
 
     clause_nets = []
     for clause in cnf.clauses:
-        lits = list(dict.fromkeys(clause))  # drop repeated literals
-        if not lits:
-            nx = _not_net(nl, ins[0], not_cache, namer)
-            false_net = namer.fresh("false")
-            nl.gates.append(Gate("AND", (ins[0], nx), false_net))
-            clause_nets.append(false_net)
-        elif len(lits) == 1:
-            clause_nets.append(literal_net(lits[0]))
-        else:
-            clause_nets.append(_chain(nl, "OR", [literal_net(l) for l in lits], namer))
+        if clause:  # an OR chain over the distinct literals
+            lits = [literal_net(lit) for lit in dict.fromkeys(clause)]
+            clause_nets.append(_chain(nl, "OR", lits, namer))
+        else:  # the empty clause is false: x1 AND NOT x1
+            clause_nets.append(_chain(nl, "AND", [ins[0], literal_net(-1)], namer, stem="false"))
+    if not clause_nets:  # the empty formula is true: x1 OR NOT x1
+        clause_nets.append(_chain(nl, "OR", [ins[0], literal_net(-1)], namer, output))
 
-    if not clause_nets:
-        # empty formula is identically true
-        nx = _not_net(nl, ins[0], not_cache, namer)
-        nl.gates.append(Gate("OR", (ins[0], nx), output))
-        nl.validate()
-        return nl
-
-    if len(clause_nets) == 1:
-        net = clause_nets[0]
-        if any(g.output == net for g in nl.gates):
-            # rename the driving gate's output onto the declared output net
-            for i, g in enumerate(nl.gates):
-                if g.output == net:
-                    nl.gates[i] = Gate(g.kind, g.inputs, output)
+    if _chain(nl, "AND", clause_nets, namer, output) != output:
+        # a lone clause: its driving gate, the last one, is renamed onto the
+        # output; a bare input is materialized via a double inverter
+        if nl.gates:
+            g = nl.gates[-1]
+            nl.gates[-1] = Gate(g.kind, g.inputs, output)
         else:
-            mid = _not_net(nl, net, not_cache, namer)
+            mid = _not_net(nl, clause_nets[0], not_cache, namer)
             nl.gates.append(Gate("NOT", (mid,), output))
-    else:
-        acc = clause_nets[0]
-        for idx, net in enumerate(clause_nets[1:]):
-            out = output if idx == len(clause_nets) - 2 else namer.fresh("and")
-            nl.gates.append(Gate("AND", (acc, net), out))
-            acc = out
     nl.validate()
     return nl

@@ -566,7 +566,7 @@ def parse_dtm(text: str) -> DtmSpec:
     halts: set[str] = set()
     delta: dict[tuple[str, int], tuple[str, int, str]] = {}
     decision = 1
-    start_line = 0
+    start_line = decision_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -576,10 +576,15 @@ def parse_dtm(text: str) -> DtmSpec:
         if kind == "STATE" and len(tokens) == 2:
             states.append(tokens[1])
         elif kind == "START" and len(tokens) == 2:
+            if start_line:
+                raise DtmFormatError(lineno, f"START repeats line {start_line}")
             start, start_line = tokens[1], lineno
         elif kind == "HALT" and len(tokens) == 2:
             halts.add(tokens[1])
         elif kind == "DECISION" and len(tokens) == 2:
+            if decision_line:
+                raise DtmFormatError(lineno, f"DECISION repeats line {decision_line}")
+            decision_line = lineno
             try:
                 decision = int(tokens[1])
             except ValueError:

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -144,6 +146,32 @@ def test_wire_chain_clamped_end():
     e, states = gl.enumerate_ground_states(chain.fragment.with_clamps({0: 1}))
     assert e == 0
     assert states == [{0: 1, 1: 1, 2: 1}]
+
+
+def _and_net(**options):
+    return gl.compile_netlist(gl.parse_netlist(AND_NL), **options)
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: _and_net(wire_chains={"nope": 3}), "wire chain on unknown net 'nope'"),
+        (lambda: _and_net(wire_chains={"y": 1}), "wire chain on 'y' needs length >= 2"),
+        # the conditioned solve is exact only when every gate's ground
+        # energy is the same for all of its inputs
+        (lambda: dataclasses.replace(_and_net(), edc=False).ground_states(),
+         "conditioned solve needs input-independent gate ground energies; "),
+        (lambda: gl.attach_medlu(_and_net(), ["y"], 0), "scale must be positive"),
+        (lambda: gl.attach_medlu(_and_net(), ["y"], -1), "scale must be positive"),
+        (lambda: gl.attach_medlu(gl.attach_medlu(_and_net(penalty=4), ["y"]), ["a"]),
+         "network already carries a minimization unit"),
+        (lambda: gl.attach_medlu(_and_net(), []), "minimization unit needs at least one port"),
+        (lambda: gl.attach_medlu(_and_net(), ["y", "nope"]), "unknown port 'nope'"),
+    ],
+)
+def test_network_refusals(refused, message):
+    with pytest.raises(gl.ModelError, match="^" + re.escape(message)):
+        refused()
 
 
 def test_wire_chain_validation():

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 import re
 
@@ -184,3 +186,31 @@ def test_fold_repeated_inputs():
     assert folded == gl.TruthFunction(1, (0, 1))
     folded, names = gl.logic.fold_repeated_inputs(gl.XOR2, ["a", "a"])
     assert folded == gl.TruthFunction(1, (0, 0))
+
+
+SYNTH_CNFS = (
+    gl.Cnf(1, ()), gl.Cnf(1, ((1,),)), gl.Cnf(1, ((-1,),)), gl.Cnf(1, ((1, 1),)),
+    gl.Cnf(1, ((1, -1),)), gl.Cnf(2, ((),)), gl.Cnf(2, ((), ())), gl.Cnf(2, ((-2,), ())),
+    gl.Cnf(1, ((1,), (-1,))), gl.Cnf(3, ((-1, -1),)),
+    gl.Cnf(3, ((1, -2, 3), (-1, 2), (3,), (-3, -3, 1))),
+)
+
+
+def test_synthesis_gates_are_pinned():
+    """The exact gates, order and net names of both syntheses on their edge
+    cases (constants, bare literals, lone products; empty, unit and
+    repeated-literal clauses, the empty formula).  Net names become the
+    labels of compiled dumps, so any change to them shows here first."""
+    sop = "".join(
+        gl.format_netlist(gl.decompose_to_basis(gl.TruthFunction(k, outs), output="q", prefix="w."))
+        for k in (1, 2, 3)
+        for outs in itertools.product((0, 1), repeat=1 << k)
+    )
+    cnf = "".join(gl.format_netlist(gl.encode_cnf(c)) for c in SYNTH_CNFS)
+    assert (len(sop), len(cnf)) == (108163, 952)
+    assert hashlib.sha256(sop.encode()).hexdigest() == (
+        "a0bcf78e084c8fd4668a62c7fb00a723a85b7195baf0cabe954c180eb03bf60a"
+    )
+    assert hashlib.sha256(cnf.encode()).hexdigest() == (
+        "eb2a5792c68ae3dd20503ee381a6f98220878cff924a3eae8f89f14003fdbc8d"
+    )

@@ -47,6 +47,28 @@ def test_whole_text_errors_carry_a_line(fmt, text, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize(
+    "fmt, text, line",
+    [
+        # a second problem line would replace the first: literal 2 then
+        # exceeds the new variable count, or the formula gains free variables
+        ("dimacs", "p cnf 2 2\n1 2 0\np cnf 1 2\n-1 0\n", 3),
+        ("dimacs", "p cnf 2 1\n1 2 0\np cnf 5 1\n", 3),
+        ("dtm", "STATE a\nSTATE b\nSTART a\nSTART b\n", 4),
+        ("dtm", FLIPPER_TEXT + "DECISION 2\n# two\nDECISION 1\n", 7),
+        # a repeated declaration would double a truth-table input or an
+        # output's decision bias
+        ("netlist", "INPUT a\nOUTPUT y\nGATE NOT a -> y\nINPUT a\n", 4),
+        ("netlist", "INPUT a\nOUTPUT y\nOUTPUT y\nGATE NOT a -> y\n", 3),
+    ],
+)
+def test_repeated_declarations_refused_at_their_line(fmt, text, line):
+    parse, error = PARSERS[fmt]
+    with pytest.raises(error, match=f"^line {line}: .* repeats line ") as info:
+        parse(text)
+    assert info.value.line == line
+
+
 WORDS = {
     "netlist": ("INPUT", "OUTPUT", "GATE", "AND", "OR", "NOT", "XOR", "->", "a", "b", "y",
                 "t", "#", "a#"),
