@@ -39,6 +39,7 @@ from .gadgets import (
     check_implements,
     format_gadget,
     make_physical_and,
+    make_wire_chain,
     parse_gadget,
     per_input_grounds,
     symmetrize,
@@ -69,7 +70,6 @@ from .netbuilder import (
     NoConsistentStateError,
     clamp_inputs,
     compile_netlist,
-    make_wire_chain,
 )
 from .turing import (
     DtmError,

@@ -69,6 +69,8 @@ class AnnealSchedule:
             raise ModelError("need at least one restart")
         if self.cooling is not None and not 0 < self.cooling <= 1:
             raise ModelError("cooling ratio must be in (0, 1]")
+        if self.seed < 0:
+            raise ModelError("seed must be non-negative")
 
     def ratio(self) -> float:
         if self.cooling is not None:

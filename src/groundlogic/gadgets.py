@@ -2,13 +2,14 @@
 
 A gadget is an energy model over input ports, one output port, and internal
 ancillae, built so that minimum-energy configurations realize a boolean
-function on the ports.  The default synthesis gives every satisfied row
-energy 0 and every violation a penalty P, which makes the per-input ground
-energy identically zero.  "Physical" gate profiles with input-dependent
-ground energies model gates whose two identical outputs can still sit at
-different energies; the input-symmetrization construction repairs that by
-driving one gate copy per input pattern so the total ground energy becomes
-input-independent.
+function on the ports.  A gate term over inputs x and output y costs
+ground[x] when y is the function's value on x and ground[x] + P otherwise;
+synthesized gates, symmetrization's inverters and wire-chain links take
+ground 0, which makes the per-input ground energy identically zero.
+"Physical" gate profiles with input-dependent ground energies model gates
+whose two identical outputs can still sit at different energies; the
+input-symmetrization construction repairs that by driving one gate copy per
+input pattern so the total ground energy becomes input-independent.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .model import (
     Variable,
     _build,
     _concat,
-    _map_array,
     _rows_of,
     _scan,
     _slot_blocks,
@@ -44,6 +44,7 @@ from .model import (
 )
 
 SCAN_CAP = 2 ** 22
+_WIRE = TruthFunction(1, (0, 1))  # a wire-chain link: the next variable copies this one
 
 
 class LogicDominanceError(ModelError):
@@ -199,6 +200,35 @@ def _default_name(fn: TruthFunction) -> str:
     return f"F{fn.arity}"
 
 
+def _gate_table(fn: TruthFunction, penalty: Fraction, ground) -> tuple[Fraction, ...]:
+    """A gate term's energies, indexed x | y << arity: ground[x] when the
+    output y is fn(x), ground[x] + penalty otherwise."""
+    return tuple(e if y == want else e + penalty
+                 for y in (0, 1) for e, want in zip(ground, fn.outputs))
+
+
+def _one_term_gadget(name: str, fn: TruthFunction, penalty: Fraction, ground, labels,
+                     counts: dict[str, int]) -> Gadget:
+    """The gate term over inputs 0..n-1 and output n, forced by fn."""
+    n = fn.arity
+    return Gadget(
+        name=name,
+        inputs=tuple(range(n)),
+        output=n,
+        ancillae=(),
+        fragment=EnergyModel(
+            tuple(Variable(j, "input" if j < n else "output", label)
+                  for j, label in enumerate(labels)),
+            (EnergyTerm(tuple(range(n + 1)), _gate_table(fn, penalty, ground)),),
+        ),
+        forcings=(Forcing(n, tuple(range(n)), fn.outputs),),
+        counts=counts,
+        penalty_floor=penalty,
+        ground_table=tuple(ground),
+        exact_extension=True,
+    )
+
+
 def synthesize_gadget(fn: TruthFunction, penalty=1, name: str | None = None) -> Gadget:
     """One (n+1)-ary term: energy 0 iff output = fn(inputs), else `penalty`."""
     p = as_energy(penalty)
@@ -208,27 +238,8 @@ def synthesize_gadget(fn: TruthFunction, penalty=1, name: str | None = None) -> 
     if n > K_MAX - 1:
         raise ModelError(f"arity {n} exceeds {K_MAX - 1}; decompose first")
     name = name or _default_name(fn)
-    variables = tuple(Variable(j, "input", f"x{j}") for j in range(n)) + (
-        Variable(n, "output", "y"),
-    )
-    table = []
-    for idx in range(1 << (n + 1)):
-        x = idx & ((1 << n) - 1)
-        y = (idx >> n) & 1
-        table.append(Fraction(0) if y == fn.outputs[x] else p)
-    term = EnergyTerm(tuple(range(n + 1)), tuple(table))
-    return Gadget(
-        name=name,
-        inputs=tuple(range(n)),
-        output=n,
-        ancillae=(),
-        fragment=EnergyModel(variables, (term,)),
-        forcings=(Forcing(n, tuple(range(n)), fn.outputs),),
-        counts={name: 1},
-        penalty_floor=p,
-        ground_table=tuple(Fraction(0) for _ in range(1 << n)),
-        exact_extension=True,
-    )
+    labels = [f"x{j}" for j in range(n)] + ["y"]
+    return _one_term_gadget(name, fn, p, (Fraction(0),) * (1 << n), labels, {name: 1})
 
 
 def make_physical_and(e00, e01, e10, e11, penalty) -> Gadget:
@@ -239,49 +250,46 @@ def make_physical_and(e00, e01, e10, e11, penalty) -> Gadget:
     profile energies so that logic still dominates.
     """
     p = as_energy(penalty)
-    profile = {
-        (0, 0): as_energy(e00),
-        (0, 1): as_energy(e01),
-        (1, 0): as_energy(e10),
-        (1, 1): as_energy(e11),
-    }
-    spread = max(profile.values()) - min(profile.values())
+    e = [as_energy(v) for v in (e00, e01, e10, e11)]
+    ground = (e[0], e[2], e[1], e[3])  # indexed a | b << 1, as the term's inputs are
+    spread = max(ground) - min(ground)
     if p <= spread:
         raise LogicDominanceError(
             f"penalty {p} must exceed the profile spread {spread}"
         )
-    variables = (
-        Variable(0, "input", "a"),
-        Variable(1, "input", "b"),
-        Variable(2, "output", "c"),
-    )
-    table = []
-    for idx in range(8):
-        a, b, c = idx & 1, (idx >> 1) & 1, (idx >> 2) & 1
-        base = profile[(a, b)]
-        table.append(base if c == (a & b) else base + p)
-    ground = tuple(profile[((x >> 0) & 1, (x >> 1) & 1)] for x in range(4))
+    return _one_term_gadget("physical-AND", AND2, p, ground, "abc", {"AND": 1})
+
+
+def make_wire_chain(length: int, coupling=1) -> Gadget:
+    """A chain of `length` variables with equal agreement couplings.
+
+    Neighbors that agree cost 0, disagreeing neighbors cost the coupling, so
+    the chain has exactly two ground configurations (all-0 and all-1): one
+    stored bit, readable at either end.
+    """
+    if length < 2:
+        raise ModelError("wire chain needs length >= 2")
+    j_c = as_energy(coupling)
+    if j_c <= 0:
+        raise ModelError("coupling must be positive")
+    variables = [Variable(0, "input", "w0")]
+    variables += [Variable(i, "wire", f"w{i}") for i in range(1, length - 1)]
+    variables.append(Variable(length - 1, "output", f"w{length - 1}"))
+    zeros = (Fraction(0),) * 2
+    link = _gate_table(_WIRE, j_c, zeros)
     return Gadget(
-        name="physical-AND",
-        inputs=(0, 1),
-        output=2,
-        ancillae=(),
-        fragment=EnergyModel(variables, (EnergyTerm((0, 1, 2), tuple(table)),)),
-        forcings=(Forcing(2, (0, 1), AND2.outputs),),
-        counts={"AND": 1},
-        penalty_floor=p,
-        ground_table=ground,
+        name=f"wire{length}",
+        inputs=(0,),
+        output=length - 1,
+        ancillae=tuple(range(1, length - 1)),
+        fragment=EnergyModel(tuple(variables),
+                             tuple(EnergyTerm((i, i + 1), link) for i in range(length - 1))),
+        forcings=tuple(Forcing(i + 1, (i,), _WIRE.outputs) for i in range(length - 1)),
+        counts={"register": 1},
+        penalty_floor=j_c,
+        ground_table=zeros,
         exact_extension=True,
     )
-
-
-def instantiate(g: Gadget, var_map):
-    """Rename a gadget's terms and forcings through a variable mapping (any
-    container indexed by the gadget's variable ids, injective over them):
-    (term `_Rows`, `Plan`)."""
-    maps = _map_array([[var_map[v] for v in g.fragment.var_ids]])
-    placed = _stamp(_slot_blocks([(g.fragment, g.forcings)]), [0], maps)
-    return placed.rows, placed.forcings
 
 
 def symmetrize(g: Gadget, inverter_penalty=None) -> Gadget:
@@ -322,9 +330,9 @@ def symmetrize(g: Gadget, inverter_penalty=None) -> Gadget:
     maps[:, [slot[g.output]]] = 2 * n + copy * (1 + A)
     maps[:, [slot[a] for a in g.ancillae]] = 2 * n + copy * (1 + A) + 1 + np.arange(A)
     placed = _stamp(_slot_blocks([(g.fragment, g.forcings)]), np.zeros(1 << n, dtype=int), maps)
-    inverter = (p_inv, Fraction(0), Fraction(0), p_inv)
+    inverter = _gate_table(NOT, p_inv, (Fraction(0),) * 2)
     inverters = _rows_of([(j, n + j) for j in range(n)], [inverter] * n)
-    plan = Plan([Forcing(n + j, (j,), (1, 0)) for j in range(n)])
+    plan = Plan([Forcing(n + j, (j,), NOT.outputs) for j in range(n)])
 
     labels = [f"x{j}" for j in range(n)] + [f"nx{j}" for j in range(n)]
     roles = ["input"] * n + ["ancilla"] * n

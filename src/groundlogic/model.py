@@ -235,6 +235,8 @@ def _concat(parts) -> _Rows:
     """The parts' rows in order, their table tuples joined."""
     if len(parts) == 1:
         return parts[0]
+    if not parts:
+        return _rows_of([], [])
     tidx, tables = [], ()
     for p in parts:
         tidx.append(p.tidx + len(tables))
@@ -351,7 +353,8 @@ def _slot_blocks(parts) -> _Blocks:
         plans.append(Plan._of(_row_of(ids, plan.var), args))
     return _Blocks(
         _concat(terms),
-        Plan._of(np.concatenate([p.var for p in plans]), _concat([p.args for p in plans])),
+        Plan._of(np.concatenate([_NO_IDS, *(p.var for p in plans)]),
+                 _concat([p.args for p in plans])),
         np.array([0, *accumulate(len(t.arity) for t in terms)]),
         np.array([0, *accumulate(len(p) for p in plans)]),
     )

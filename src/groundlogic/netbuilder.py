@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gadgets import Gadget, make_physical_and, symmetrize, synthesize_gadget
+from .gadgets import Gadget, make_physical_and, make_wire_chain, symmetrize, synthesize_gadget
 from .logic import NOT, TruthFunction, and_n, fold_repeated_inputs, or_n
 from .model import (
     _ROLE_CODE,
@@ -35,7 +35,6 @@ from .model import (
     Forcing,
     ModelError,
     Plan,
-    Variable,
     _as_dicts,
     _build,
     _ground_matrix,
@@ -341,37 +340,3 @@ def clamp_inputs(net: Network, bindings: dict[str, int]) -> Network:
         if name not in net.inputs:
             raise ModelError(f"net {name!r} is not a declared input")
     return net.with_net_clamps(bindings)
-
-
-def make_wire_chain(length: int, coupling=1) -> Gadget:
-    """A chain of `length` variables with equal agreement couplings.
-
-    Neighbors that agree cost 0, disagreeing neighbors cost the coupling, so
-    the chain has exactly two ground configurations (all-0 and all-1): one
-    stored bit, readable at either end.
-    """
-    if length < 2:
-        raise ModelError("wire chain needs length >= 2")
-    j_c = as_energy(coupling)
-    if j_c <= 0:
-        raise ModelError("coupling must be positive")
-    variables = [Variable(0, "input", "w0")]
-    variables += [Variable(i, "wire", f"w{i}") for i in range(1, length - 1)]
-    variables.append(Variable(length - 1, "output", f"w{length - 1}"))
-    terms = [
-        EnergyTerm((i, i + 1), (Fraction(0), j_c, j_c, Fraction(0)))
-        for i in range(length - 1)
-    ]
-    plan = tuple(Forcing(i + 1, (i,), (0, 1)) for i in range(length - 1))
-    return Gadget(
-        name=f"wire{length}",
-        inputs=(0,),
-        output=length - 1,
-        ancillae=tuple(range(1, length - 1)),
-        fragment=EnergyModel(tuple(variables), tuple(terms)),
-        forcings=plan,
-        counts={"register": 1},
-        penalty_floor=j_c,
-        ground_table=(Fraction(0), Fraction(0)),
-        exact_extension=True,
-    )

@@ -88,8 +88,12 @@ class Netlist:
         return drivers
 
     def validate(self) -> list[Gate]:
-        """Check drivers, reads and acyclicity; returns the gates in the
-        order `kahn_order` gives them (`topo_gates`)."""
+        """Check declarations, drivers, reads and acyclicity; returns the
+        gates in the order `kahn_order` gives them (`topo_gates`)."""
+        for kind, nets in (("input", self.inputs), ("output", self.outputs)):
+            if len(set(nets)) < len(nets):
+                twice = next(n for i, n in enumerate(nets) if n in nets[:i])
+                raise NetlistError(f"{kind} {twice!r} is declared more than once")
         drivers = self.driver_map()
         for g in self.gates:
             for n in g.inputs:
@@ -157,12 +161,13 @@ def gate_value(gate: Gate, bits: tuple[int, ...]) -> int:
 
 def evaluate(nl: Netlist, inputs: dict[str, int]) -> dict[str, int]:
     """Evaluate every net from the declared inputs.  The reference oracle."""
+    order = nl.validate()
     values = {}
     for n in nl.inputs:
         if n not in inputs:
             raise NetlistError(f"missing value for input {n!r}")
         values[n] = inputs[n] & 1
-    for g in nl.topo_gates():
+    for g in order:
         values[g.output] = gate_value(g, tuple(values[n] for n in g.inputs))
     return values
 

@@ -28,6 +28,8 @@ def test_schedule_validation():
         gl.AnnealSchedule(t_start=1.0, t_end=0.1, sweeps=0)
     with pytest.raises(gl.ModelError):
         gl.AnnealSchedule(t_start=1.0, t_end=0.1, sweeps=10, cooling=1.5)
+    with pytest.raises(gl.ModelError, match="seed must be non-negative"):
+        gl.AnnealSchedule(2.0, 0.05, 10, seed=-1)
 
 
 def test_schedule_geometric_cooling():

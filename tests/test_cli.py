@@ -294,7 +294,8 @@ def test_solve_gadget_dump_with_ports(tmp_path, capsys):
 FLIPPER_SPEC = "STATE q\nSTART q\nDELTA q 0 -> q 1 U\nDELTA q 1 -> q 0 U\n"
 
 
-@pytest.mark.parametrize("case", ["dtm-out", "anneal-overflow", "anneal-all-clamped"])
+@pytest.mark.parametrize("case", ["dtm-out", "anneal-overflow", "anneal-all-clamped",
+                                  "anneal-negative-seed"])
 def test_failing_command_leaves_stdout_empty(tmp_path, capsys, case):
     # on exit 1 no partial report reaches stdout, and stderr holds one error line
     if case == "dtm-out":
@@ -303,9 +304,14 @@ def test_failing_command_leaves_stdout_empty(tmp_path, capsys, case):
         argv = ["dtm", str(spec), "--p", "2", "--verify", "--out", str(tmp_path / "missing" / "x.dump")]
     else:
         dump = tmp_path / "case.dump"
-        dump.write_text("VAR 0 wire\nVAR 1 wire\nTERM 2 0 1 : 0 1e400 1e400 0\n"
-                        if case == "anneal-overflow" else "VAR 0 wire\nCLAMP 0 1\nTERM 1 0 : 0 1\n")
+        dump.write_text({
+            "anneal-overflow": "VAR 0 wire\nVAR 1 wire\nTERM 2 0 1 : 0 1e400 1e400 0\n",
+            "anneal-all-clamped": "VAR 0 wire\nCLAMP 0 1\nTERM 1 0 : 0 1\n",
+            "anneal-negative-seed": "VAR 0 wire\nTERM 1 0 : 0 1\n",
+        }[case])
         argv = ["solve", str(dump), "--method", "anneal", "--sweeps", "5", "--out", str(tmp_path / "r.csv")]
+        if case == "anneal-negative-seed":
+            argv += ["--seed", "-1"]
     code, stdout, stderr = run(capsys, *argv)
     assert code == 1 and stdout == ""
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
@@ -325,3 +331,24 @@ def test_solve_exact_prints_the_enumerated_states(tmp_path, capsys):
     expected = [f"E0={e0} deg={len(states)}"]
     expected += ["".join(str(a[v]) for v in sorted(a)) for a in states]
     assert code == 0 and stdout == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("nl", [
+    gl.parse_netlist("INPUT a\n"),
+    gl.parse_netlist("INPUT a\nOUTPUT a\n"),
+    gl.parse_netlist(""),
+    gl.encode_cnf(gl.Cnf(1, ((1,),)), output="x1"),
+    gl.decompose_to_basis(gl.TruthFunction(1, (0, 1)), output="x0"),
+], ids=["input", "input-is-output", "empty", "cnf-literal", "basis-literal"])
+def test_gateless_netlist_compiles_to_its_ports(tmp_path, capsys, nl):
+    assert not nl.gates
+    net = gl.compile_netlist(nl)
+    assert net.model.var_ids == tuple(range(len(nl.inputs))) and not net.model.terms
+    assert net.ground_states() == gl.enumerate_ground_states(net.model)
+    src, out = tmp_path / "n.net", tmp_path / "n.dump"
+    src.write_text(gl.format_netlist(nl))
+    code, stdout, _ = run(capsys, "compile", str(src), "--out", str(out))
+    assert code == 0 and stdout == "element counts:\n  total 0\n"
+    assert out.read_text() == gl.format_model(net.model)
+    code, stdout, _ = run(capsys, "solve", str(out))
+    assert code == 0 and stdout.splitlines()[0] == f"E0=0 deg={2 ** len(nl.inputs)}"

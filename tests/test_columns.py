@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import groundlogic as gl
-from util import FLIPPER, random_netlist, reference_parse_statements
+from util import FLIPPER, random_model, random_netlist, reference_parse_statements, terms_of
 
 ENERGIES = ("0", "1", "-2", "1/2", "3/4", "-5/3", "0.25")
 ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
@@ -203,6 +203,29 @@ def test_stamp_rejects_non_injective_cell_map(monkeypatch):
     monkeypatch.setattr(gl.turing, "_wire_cells", merged)
     with pytest.raises(gl.ModelError, match="maps two variables to one"):
         gl.build_lattice(FLIPPER, 2, 1)
+
+
+def test_stamp_renames_terms_and_forcings_and_shares_tables():
+    model = random_model(random.Random(5), n_vars=6, n_terms=8, max_arity=4)
+    g = gl.synthesize_gadget(gl.AND2, 1)
+    chain = gl.make_wire_chain(3)
+    blocks = gl.model._slot_blocks([(model, gl.model.Plan()), (g.fragment, g.forcings),
+                                    (chain.fragment, chain.forcings)])
+    maps = gl.model._map_array([[100 + 7 * v for v in range(6)], [3, 4, 5]])
+    placed = gl.model._stamp(blocks, [0, 1], maps)
+    built = [gl.EnergyTerm(tuple(100 + 7 * v for v in t.vars), t.table) for t in model.terms]
+    built.append(gl.EnergyTerm((3, 4, 5), g.fragment.terms[0].table))
+    copies = terms_of(placed.rows)
+    assert list(copies) == built
+    assert [hash(c) for c in copies] == [hash(b) for b in built]
+    for copy, t in zip(copies, model.terms + g.fragment.terms):
+        assert type(copy.vars) is tuple and copy.table is t.table
+    assert tuple(placed.forcings) == (gl.Forcing(5, (3, 4), gl.AND2.outputs),)
+    assert type(next(iter(placed.forcings))) is gl.Forcing
+    # two slots on one id, within one term and across the chain's two terms
+    for which, row in ((1, [3, 3, 4]), (2, [5, 6, 5])):
+        with pytest.raises(gl.ModelError, match="maps two variables to one"):
+            gl.model._stamp(blocks, [which], gl.model._map_array([row]))
 
 
 @pytest.mark.parametrize("coupling", [-1, 0])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -353,3 +354,39 @@ def test_parse_gadget_names_unlisted_and_clamped_variables():
     with pytest.raises(gl.DumpFormatError) as info:
         gl.parse_gadget("")
     assert info.value.line == 1
+
+
+def test_gadget_builders_are_pinned():
+    # every gate term's table, variables, forcings, floor and ground table,
+    # byte for byte: synthesized gates of arity 1-3, their symmetrizations,
+    # physical ANDs and wire chains, then one netlist through both policies
+    # with a physical AND profile and two wire chains
+    gadgets = []
+    for k in (1, 2, 3):
+        for outs in itertools.product((0, 1), repeat=1 << k):
+            for p in (1, Fraction(3, 2)):
+                g = gl.synthesize_gadget(gl.TruthFunction(k, outs), p)
+                gadgets += [g, gl.symmetrize(g)] if k < 3 else [g]
+    for args in ((0, 0, 0, 0, 1), (0, 0, 0, -1, 2), (0, Fraction(1, 2), -1, 2, 5),
+                 (3, -1, Fraction(2, 3), 0, 7)):
+        g = gl.make_physical_and(*args)
+        gadgets += [g, gl.symmetrize(g), gl.symmetrize(g, inverter_penalty=100)]
+    gadgets += [gl.make_wire_chain(n, c) for n in (2, 3, 5) for c in (1, Fraction(2, 3))]
+    assert len(gadgets) == 610
+    text = "".join(
+        gl.format_gadget(g) + repr((g.name, tuple(g.forcings), g.counts, g.penalty_floor,
+                                    g.ground_table, g.exact_extension)) + "\n"
+        for g in gadgets)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "7590262e359a01955b82310ae778a6a3d3d49c3e7aec6d89495934b3d9d5e807")
+
+    nl = gl.parse_netlist("INPUT a\nINPUT b\nINPUT c\nOUTPUT y\n"
+                          "GATE AND a b -> t\nGATE OR t c -> u\nGATE NOT u -> y\n")
+    nets = [gl.compile_netlist(nl, policy, penalty=3, and_profile=(0, 0, 0, -1),
+                               wire_chains={"a": 3, "u": 2}, wire_coupling=Fraction(1, 2))
+            for policy in ("penalty", "edc-symmetrized")]
+    text = "".join(
+        gl.format_model(n.model) + repr((n.plan, n.elements, n.penalty_floor, n.base_ground)) + "\n"
+        for n in nets)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "6c017674f9e4151f2ec3698f8210f0028da9a5a02d4e1e143f59e5f2d4ad913c")

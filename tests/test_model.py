@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import groundlogic as gl
-from util import random_model, reference_anneal, terms_of
+from util import random_model, reference_anneal
 
 WIRE = gl.EnergyTerm((0, 1), (0, 1, 1, 0))
 
@@ -510,33 +510,3 @@ def test_energy_term_coerces_entries_as_before():
     with pytest.raises(TypeError):
         gl.EnergyTerm((0,), [0.25, 1])
 
-
-def test_instantiate_matches_constructed_terms_and_shares_tables():
-    rng = random.Random(5)
-    model = random_model(rng, n_vars=6, n_terms=8, max_arity=4)
-    g = gl.Gadget("random", (0, 1), 2, (3, 4, 5), model)
-    mapping = {v: 100 + 7 * v for v in range(6)}
-    terms, plan = gl.gadgets.instantiate(g, mapping)
-    copies = terms_of(terms)
-    built = [gl.EnergyTerm(tuple(mapping[v] for v in t.vars), t.table) for t in model.terms]
-    assert list(copies) == built and len(plan) == 0
-    assert [hash(c) for c in copies] == [hash(b) for b in built]
-    for copy, t in zip(copies, model.terms):
-        assert type(copy) is gl.EnergyTerm and type(copy.vars) is tuple
-        assert copy.table is t.table
-    # a list indexed by variable id works as a mapping too
-    listed, _ = gl.gadgets.instantiate(g, [mapping[v] for v in range(6)])
-    assert list(terms_of(listed)) == built
-
-
-def test_instantiate_rejects_non_injective_mapping():
-    g = gl.synthesize_gadget(gl.AND2, 1)
-    with pytest.raises(gl.ModelError):
-        gl.gadgets.instantiate(g, {0: 3, 1: 3, 2: 4})  # within one term
-    chain = gl.make_wire_chain(3)
-    with pytest.raises(gl.ModelError):
-        gl.gadgets.instantiate(chain, {0: 5, 1: 6, 2: 5})  # across terms
-    terms, forcings = gl.gadgets.instantiate(g, {0: 3, 1: 4, 2: 5})
-    assert terms_of(terms) == (gl.EnergyTerm((3, 4, 5), g.fragment.terms[0].table),)
-    assert tuple(forcings) == (gl.Forcing(5, (3, 4), gl.AND2.outputs),)
-    assert type(next(iter(forcings))) is gl.Forcing

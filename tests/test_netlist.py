@@ -38,6 +38,25 @@ def test_undriven_net_rejected():
     nl.gates.append(gl.Gate("AND", ("a", "ghost"), "y"))
     with pytest.raises(gl.NetlistError):
         nl.validate()
+    # the oracle validates first, so the read is refused, not a KeyError
+    with pytest.raises(gl.NetlistError, match="'ghost' is read but never driven"):
+        gl.evaluate(nl, {"a": 1})
+    with pytest.raises(gl.NetlistError, match="'ghost' is read but never driven"):
+        gl.netlist_truth_table(nl)
+
+
+@pytest.mark.parametrize("nl, message", [
+    (gl.decompose_to_basis(gl.TruthFunction(2, (0, 1, 1, 0)), inputs=["a", "a"]),
+     "input 'a' is declared more than once"),
+    (gl.Netlist(["a"], ["y", "y"], [gl.Gate("NOT", ("a",), "y")]),
+     "output 'y' is declared more than once"),
+], ids=["input", "output"])
+def test_repeated_port_rejected(nl, message):
+    # what the parser refuses at its line, validation refuses in an object
+    for refused in (nl.validate, lambda: gl.evaluate(nl, dict.fromkeys(nl.inputs, 0)),
+                    lambda: gl.compile_netlist(nl)):
+        with pytest.raises(gl.NetlistError, match=f"^{message}$"):
+            refused()
 
 
 def test_cycle_detected():
@@ -80,6 +99,9 @@ def test_evaluate_and_truth_table():
     assert gl.evaluate(nl, {"a": 1, "b": 1})["y"] == 0
     tt = gl.netlist_truth_table(nl)
     assert tt == gl.TruthFunction(2, (0, 1, 0, 0))
+    # a net may be both an input and an output
+    both = gl.Netlist(["a"], ["a", "y"], [gl.Gate("NOT", ("a",), "y")])
+    assert gl.evaluate(both, {"a": 1}) == {"a": 1, "y": 0}
 
 
 def test_evaluate_random_netlists_are_deterministic():
