@@ -48,31 +48,35 @@ entries, folds the clamped variables out of the terms once per distinct
 integer offset.  The exact solvers and the annealer read its output.
 
 Every exact solver (`enumerate_ground_states`, `spectrum`, the gadget
-scans, `Network.ground_states`) reduces one levelized, bit-parallel scan,
-`_scan`, over the masks of the roots, the free variables no forcing
-assigns.  Masks are scanned in aligned blocks of 2**b, b sized from
-`_BLOCK_BYTES`: the low b roots vary within a block, the high roots are
-fixed by its number, and each solver carries its running result from block
-to block.  A folded term whose variables are all roots is blind: its table
-is an array with one axis per root, added by broadcasting over the block's
-(2,)*b energy array, which starts at the offset, after slicing it at the
-block's high roots.  Without a plan every term is blind and no value
-matrix is built; the solvers take the state bits they need from the masks.
-A term that touches a forced variable is gathered: a uint8 value matrix
-holds one row per variable, in id order, and one column per mask (clamp
-rows serve the forcings and the reported states), the forcings are stacked
-by topological level and arity, so each stack costs one gather from its
-tables, and the gathered terms, stacked by arity, each add one
-gather-and-sum to the energy vector.  Energies are summed in int64 when
-the largest possible sum stays below 2**62, as Python ints otherwise.
+scans, `Network.ground_states`) reduces one bit-parallel scan, `_scan`,
+over the masks of the roots, the free variables no forcing assigns.  Masks
+are scanned in aligned blocks of 2**b, b sized from `_BLOCK_BYTES`: the low
+b roots vary within a block, the high roots are fixed by its number, and
+each solver carries its running result from block to block.  A folded term
+whose variables are all roots is blind: its table is an array with one
+axis per root, added by broadcasting over the block's (2,)*b energy array,
+which starts at the offset, after slicing it at the block's high roots.
+Without a plan every term is blind and no value matrix is built; the
+solvers take the state bits they need from the masks.  With a plan the
+forcings run bit-sliced, in plan order: each variable's values over the
+block are one Python int, bit m its value under mask m (roots are fixed
+bit patterns, clamps 0 or all ones), and each forcing is a few bitwise
+operations on its arguments' ints, derived once per distinct table.  The
+ints are unpacked once per block into a uint8 value matrix, one row per
+variable, in id order, and one column per mask.  A term that touches a
+forced variable is gathered from it: the gathered terms, stacked by
+arity, each add one gather-and-sum to the energy vector.  Energies are
+summed in int64 when the largest possible sum stays below 2**62, as
+Python ints otherwise.  The ground states come back as one dict each,
+built by difference from the sorted state before it (`_as_dicts`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import accumulate
+from functools import lru_cache, partial
+from itertools import accumulate, islice
 from math import lcm
 from typing import NamedTuple
 
@@ -632,14 +636,19 @@ def _scan(model: EnergyModel, plan: Plan | None, cap: int):
     the variables at the listed value-matrix rows (one uint8 row each; every
     variable in id order when rows is None) at the block columns `cols`, a
     boolean mask or a slice.
+
+    A plan runs bit-sliced: each variable's values over a block's masks are
+    one Python int, whose bit m is its value under the block's mask m, and
+    each forcing is a few bitwise operations on its arguments' ints
+    (`_forcing_steps`).  The ints are unpacked once per block into the
+    value matrix that the gathered terms and `bits` read.
     """
     ids = np.sort(model._ids)
     n = len(ids)
     clamps = model.clamps
     clamp_rows = _row_of(ids, np.array(list(clamps), dtype=np.int64))
-    clamp_vals = np.array(list(clamps.values()), dtype=np.uint8)
     clamp_at = np.zeros(n, dtype=np.uint8)
-    clamp_at[clamp_rows] = clamp_vals
+    clamp_at[clamp_rows] = list(clamps.values())
     clamped = np.zeros(n, dtype=bool)
     clamped[clamp_rows] = True
     root = ~clamped
@@ -660,7 +669,7 @@ def _scan(model: EnergyModel, plan: Plan | None, cap: int):
             f"{len(roots)} free variables require {1 << len(roots)} states, cap is {cap}; "
             "shrink the model, clamp inputs, or use the annealer"
         )
-    forcings = _forcing_groups(plan, ids, root_rows, clamped, clamp_at) if plan else []
+    steps, checks = _forcing_steps(plan, ids, root_rows, clamped, clamp_at) if plan else ((), [])
     denom, offset, terms = _integer_terms(model)
     energy_dtype, gathered, blind = _term_groups(terms, ids, offset, root_rows)
 
@@ -669,42 +678,54 @@ def _scan(model: EnergyModel, plan: Plan | None, cap: int):
     # forcings keeps a value matrix per block; a blind scan only an energy
     # vector and its consumers' temporaries.
     per_mask = 32 + 2 * energy_dtype.itemsize
-    if forcings:
-        widest = max([3 * len(g[1]) for g in forcings] + [0])
-        widest = max([(2 + energy_dtype.itemsize) * len(g[1]) for g in gathered] + [widest])
-        per_mask = n + 16 * len(roots) + widest + 32
+    if plan:
+        widest = max([(2 + energy_dtype.itemsize) * len(g[1]) for g in gathered] + [0])
+        per_mask = n + widest + 32
     b = min(len(roots), max(1, _BLOCK_BYTES // per_mask).bit_length() - 1)
     size = 1 << b
     addends = [_block_addend(key, table, b) for key, table in blind.items()]
-    shifts = np.arange(len(roots), dtype=np.int64)[:, None]
     root_list, clamp_list = [-1] * n, clamp_at.tolist()
     for i, r in enumerate(root_rows.tolist()):
         root_list[r] = i
+    if plan:
+        # A bit-sliced block holds one int per value-matrix row, one per
+        # clamped forcing (`checks`) and last `full`, with every mask's bit
+        # set.  Clamps are 0 or full, and low root i has bit m set where m
+        # has bit i, in every block: its pattern doubles with the block.
+        full, low = (1 << size) - 1, []
+        for i in range(b):
+            w = 1 << i
+            low = [p | p << w for p in low] + [((1 << w) - 1) << w]
+        base = [full * bit for bit in clamp_list] + [0] * len(checks) + [full]
+        for r, pattern in zip(root_rows.tolist(), low):
+            base[r] = pattern
+        high = list(zip(root_rows[b:].tolist(), range(len(roots) - b)))
+        checks = [full * bit for bit in checks]
 
     def blocks():
         for number in range(1 << (len(roots) - b)):
-            start = number << b
             alive = np.ones(size, dtype=bool)
-            if forcings:
-                masks = np.arange(start, start + size, dtype=np.int64)
-                vals = np.empty((n, size), dtype=np.uint8)
-                vals[clamp_rows] = clamp_vals[:, None]
-                vals[root_rows] = (masks >> shifts) & 1
-                for arg_cols, tables, out_rows, clamp_col in forcings:
-                    got = _gather(tables, vals, arg_cols)
-                    if clamp_col is None:
-                        vals[out_rows] = got
-                    else:
-                        alive &= (got == clamp_col).all(axis=0)
-                if not alive.any():
-                    continue
+            if plan:
+                v = base.copy()
+                for r, shift in high:
+                    v[r] = full * (number >> shift & 1)
+                for step, out, args in zip(*steps):
+                    v[out] = step(v, args)
+                if checks:
+                    agree = full
+                    for got, bit in zip(v[n:], checks):
+                        agree &= ~(got ^ bit)
+                    if not agree:
+                        continue
+                    alive = _unpacked([agree], size)[0].view(bool)
+                vals = _unpacked(v[:n], size)
                 bits = partial(_matrix_bits, vals)
             else:
-                bits = partial(_mask_bits, start, size, root_list, clamp_list)
+                bits = partial(_mask_bits, number << b, size, root_list, clamp_list)
             energy = np.full((2,) * b, offset, dtype=energy_dtype)
-            for tables, high in addends:
+            for tables, hi_shifts in addends:
                 hi = 0
-                for shift in high:
+                for shift in hi_shifts:
                     hi = hi << 1 | (number >> shift) & 1
                 energy += tables[hi]
             energy = energy.reshape(-1)
@@ -730,6 +751,14 @@ def _block_addend(key, table, b):
     for r in key[len(high):]:
         shape[b - 1 - r] = 2
     return table.reshape((1 << len(high), *shape)), high
+
+
+def _unpacked(ints, size):
+    """Bits 0..size-1 of each int as one uint8 row: bit m at column m."""
+    nbytes = (size + 7) // 8
+    raw = b"".join([x.to_bytes(nbytes, "little") for x in ints])
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), nbytes)
+    return np.unpackbits(packed, axis=1, count=size, bitorder="little")
 
 
 def _matrix_bits(vals, rows, cols):
@@ -761,24 +790,60 @@ def _gather(tables, vals, arg_cols):
     return np.take_along_axis(tables, idx, axis=1)
 
 
-def _forcing_groups(plan: Plan, ids, root_rows, clamped, clamp_at):
-    """Stack the plan's forcings by (topological level, arity, clamped).
+@lru_cache(maxsize=1024)
+def _bitsliced(table: tuple):
+    """`step(v, a)`: the 0/1 `table` applied bitwise to the ints v[a[0]],
+    v[a[1]], ... (argument j is bit j of the table index); v[-1] is the
+    int with every mask's bit set.
 
-    A forcing's level is one more than the highest level among its args;
-    roots and clamped variables sit at level 0.  Forcings of one level read
-    only lower levels, so each group is one gather from its stacked tables.
-    Each group is (arg rows per position, tables, rows to write, clamp
-    column); a group of clamped variables is checked against the clamps
-    instead of written.
+    The expression is an OR of the minterms of the table's ones or, when
+    its zeros are fewer, an AND of the clauses that rule out each zero.
+    A result that could carry bits past v[-1] is ANDed with it.
+    """
+    k = len(table).bit_length() - 1
+    ones = [x for x in range(len(table)) if table[x]]
+    zeros = [x for x in range(len(table)) if not table[x]]
+
+    def literals(x, positive, join):
+        return join.join(f"x{j}" if (x >> j & 1) == positive else f"~x{j}" for j in range(k))
+
+    if not ones or not zeros:
+        expr, unbounded = ("v[-1]" if ones else "0"), False
+    elif len(ones) <= len(zeros):
+        expr = " | ".join(literals(x, 1, " & ") for x in ones)
+        unbounded = 0 in ones  # the minterm of all zeros has no positive literal
+    else:
+        clauses = [literals(x, 0, " | ") for x in zeros]
+        expr = " & ".join(c if k == 1 else f"({c})" for c in clauses)
+        unbounded = 0 not in zeros  # else one clause has no negated literal
+    if unbounded:
+        expr = f"v[-1] & ({expr})"
+    binds = "".join(f"    x{j} = v[a[{j}]]\n" for j in range(k))
+    namespace: dict = {}
+    exec(f"def step(v, a):\n{binds}    return {expr}\n", namespace)
+    return namespace["step"]
+
+
+def _forcing_steps(plan: Plan, ids, root_rows, clamped, clamp_at):
+    """The plan as (steps, checks) for a bit-sliced block.
+
+    `steps` is three lists in plan order: each forcing's table as bitwise
+    operations (`_bitsliced`, made once per distinct table), the slot it
+    writes, which is its variable's value-matrix row, and its argument
+    rows.  A forcing of a clamped variable instead writes slot n + i, its
+    index i among those forcings, and `checks[i]` is that variable's clamp
+    bit.  Raises ModelError when a free variable is forced twice or read
+    before its forcing.
     """
     n, args, count = len(ids), plan.args, len(plan)
-    width = max(2, int(args.arity.max(initial=0)))
-    # value-matrix rows; the pads read an extra row n, which is set at level 0
+    width = max(1, int(args.arity.max(initial=0)))
+    # value-matrix rows; the pads name row n, which the order check counts as set
     out = _row_of(ids, plan.var)
     arg_rows = np.where(args.vars[:, :width] >= 0, _row_of(ids, args.vars[:, :width]), n)
     on_clamp = clamped[out]
     free = np.flatnonzero(~on_clamp)
-    if len(np.unique(out[free])) < len(free):
+    srt = np.sort(out[free])
+    if (srt[1:] == srt[:-1]).any():
         seen = set()
         for i in free.tolist():
             if out[i] in seen:
@@ -789,37 +854,11 @@ def _forcing_groups(plan: Plan, ids, root_rows, clamped, clamp_at):
     set_at[out[free]] = free
     if (set_at[arg_rows] >= np.arange(count)[:, None]).any():
         raise ModelError("forcing plan reads a variable before a forcing sets it")
-    # Levels in plan order, as steps level[dst] = max(level[x], level[y]) +
-    # inc: a forcing's args are folded pairwise through a spare slot n + 1,
-    # and a clamped variable's level goes to a slot of its own past n + 1.
-    dest = out.copy()
-    dest[on_clamp] = n + 2 + np.arange(count - len(free))
-    steps = np.full((4, count, width - 1), n + 1, dtype=np.int64)
-    steps[0, :, -1] = dest
-    steps[1, :, 0] = arg_rows[:, 0]
-    steps[2] = arg_rows[:, 1:]
-    steps[3] = 0
-    steps[3, :, -1] = 1
-    level = [0] * (n + 2 + count - len(free))
-    for dst, x, y, inc in zip(*steps.reshape(4, -1).tolist()):
-        x, y = level[x], level[y]
-        level[dst] = (x if x > y else y) + inc
-    lvl = np.array(level)[dest]
-    # every table padded to the widest: a group's indices stay below its own size
-    tables = np.zeros((len(args.tables), 1 << width), dtype=np.uint8)
-    for i, table in enumerate(args.tables):
-        tables[i, : len(table)] = table
-    # one sort by (level, arity, clamped); each group is a run of it
-    key = (lvl * (K_MAX + 1) + args.arity) * 2 + on_clamp
-    order = np.argsort(key, kind="stable")
-    key, out, arg_rows, tables = key[order], out[order], arg_rows[order], tables[args.tidx[order]]
-    cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
-    groups = []
-    for a, b in zip([0, *cuts.tolist()], [*cuts.tolist(), count]):
-        k, fixed = int(key[a]) // 2 % (K_MAX + 1), bool(key[a] & 1)
-        clamp_col = clamp_at[out[a:b]][:, None] if fixed else None
-        groups.append((arg_rows[a:b, :k].T, tables[a:b], out[a:b], clamp_col))
-    return groups
+    slots = out.copy()
+    slots[on_clamp] = n + np.arange(count - len(free))
+    fns = [_bitsliced(tuple(table)) for table in args.tables]
+    steps = [fns[t] for t in args.tidx.tolist()], slots.tolist(), arg_rows.tolist()
+    return steps, clamp_at[out[on_clamp]].tolist()
 
 
 def _row_of(ids, vals):
@@ -916,10 +955,25 @@ def _ground_matrix(model: EnergyModel, plan: Plan | None, cap: int):
 
 
 def _as_dicts(model: EnergyModel, keys, states) -> list[Assignment]:
-    """The states of `_ground_matrix` as dicts listing `keys` in order."""
-    # one state at a time: a nested list of every state would outgrow the dicts
+    """The states of `_ground_matrix` as dicts listing `keys` in order.
+
+    Sorted states share most of their bits with the state before them, so
+    each dict after the first is a copy of the one before, updated at the
+    keys whose bits differ.
+    """
     per_state = states[model._rows(keys)].T.copy()
-    return [dict(zip(keys, s.tolist())) for s in per_state]
+    prev = dict(zip(keys, per_state[0].tolist()))
+    out = [prev]
+    # every differing (state, key) position, state by state
+    flips = np.flatnonzero(per_state[1:] ^ per_state[:-1])
+    at, col = np.divmod(flips, len(keys))
+    changes = zip(np.array(keys, dtype=np.int64)[col].tolist(),
+                  per_state[1:].ravel()[flips].tolist())
+    for count in np.bincount(at, minlength=len(per_state) - 1).tolist():
+        prev = prev.copy()
+        prev.update(islice(changes, count))
+        out.append(prev)
+    return out
 
 
 def _ground_set(model: EnergyModel, plan: Plan | None, cap: int):

@@ -161,7 +161,11 @@ def gate_value(gate: Gate, bits: tuple[int, ...]) -> int:
 
 def evaluate(nl: Netlist, inputs: dict[str, int]) -> dict[str, int]:
     """Evaluate every net from the declared inputs.  The reference oracle."""
-    order = nl.validate()
+    return _evaluate(nl, nl.validate(), inputs)
+
+
+def _evaluate(nl: Netlist, order: list[Gate], inputs: dict[str, int]) -> dict[str, int]:
+    """`evaluate` over gates in `order`, the result of `nl.validate()`."""
     values = {}
     for n in nl.inputs:
         if n not in inputs:
@@ -173,12 +177,14 @@ def evaluate(nl: Netlist, inputs: dict[str, int]) -> dict[str, int]:
 
 
 def netlist_truth_table(nl: Netlist, output: str | None = None) -> TruthFunction:
-    """Exhaustive truth table of one declared output over the declared inputs."""
+    """Exhaustive truth table of one declared output over the declared
+    inputs; the netlist is validated once, not once per row."""
     out = output if output is not None else nl.outputs[0]
+    order = nl.validate()
     n = len(nl.inputs)
     rows = []
     for x in range(1 << n):
-        values = evaluate(nl, {net: (x >> j) & 1 for j, net in enumerate(nl.inputs)})
+        values = _evaluate(nl, order, {net: (x >> j) & 1 for j, net in enumerate(nl.inputs)})
         rows.append(values[out])
     return TruthFunction(n, tuple(rows))
 

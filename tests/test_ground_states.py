@@ -56,6 +56,23 @@ def test_golden_across_blocks(monkeypatch, name, budget):
     assert hashlib.sha256(repr(result).encode()).hexdigest() == GOLDEN[name]
 
 
+def test_ground_state_dicts_are_independent():
+    # each dict is built from a copy of the one before it: writing into one
+    # must leave its neighbour as it was
+    net = _golden_network("cnf801")
+    _, states = net.ground_states()
+    assert len(states) == 1024
+    clamps = net.model.clamps
+    forced = [f.var for f in net.plan if f.var not in clamps]
+    roots = [v for v in net.model.var_ids if v not in clamps and v not in forced]
+    keys = list(clamps) + roots + forced
+    assert all(list(state) == keys for state in states)
+    second = dict(states[1])
+    for v in keys:
+        states[0][v] ^= 1
+    assert states[1] == second
+
+
 def test_blocks_without_consistent_masks(monkeypatch):
     # with the output clamped most blocks hold no consistent mask; the best
     # is carried across them

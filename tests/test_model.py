@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -400,6 +401,83 @@ def test_one_table_under_different_clamp_patterns():
     for a, y in ((0, 0), (1, 0), (1, 1)):
         clamped = gl.clamp_inputs(net, {"a": a}).with_net_clamps({"y": y})
         assert clamped.ground_states() == gl.enumerate_ground_states(clamped.model)
+
+
+def _forcing_plan(rng):
+    """A small model with a random topological plan: 0/1 tables of arity
+    1-4 (constants and XOR among them) and one of arity 8, each reading
+    earlier variables; some forced variables are clamped, so some plans
+    leave no mask alive.  Ids are spaced out on some draws."""
+    stride = rng.choice((1, 3))
+    n_roots = rng.randint(0, 4)
+    clamps = {}
+    known = []  # roots, clamps and forced variables, in the order they are set
+    for v in range(n_roots + rng.randint(0 if n_roots else 1, 2)):
+        known.append(v * stride)
+        if v >= n_roots:
+            clamps[v * stride] = rng.randint(0, 1)
+    forcings = []
+    # at least 8 variables are known when the arity-8 table comes
+    for k in [rng.randint(1, 4) for _ in range(rng.randint(7, 9))] + [8]:
+        k = min(k, len(known))
+        xor = tuple(bin(x).count("1") & 1 for x in range(1 << k))
+        table = rng.choice([(0,) * (1 << k), (1,) * (1 << k), xor] + [None] * 3)
+        table = table or tuple(rng.randint(0, 1) for _ in range(1 << k))
+        var = len(known) * stride
+        if rng.random() < 0.2:
+            clamps[var] = rng.randint(0, 1)
+        forcings.append(gl.Forcing(var, tuple(rng.sample(known, k)), table))
+        known.append(var)
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        vars_ = rng.sample(known, rng.randint(1, 3))
+        table = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(1 << len(vars_))]
+        terms.append(gl.EnergyTerm(tuple(vars_), tuple(table)))
+    model = gl.EnergyModel(tuple(gl.Variable(v) for v in known), tuple(terms), clamps)
+    return model, gl.model.Plan(forcings)
+
+
+def _plain_ground_matrix(m, plan):
+    """`_ground_matrix` by a loop over the root masks that applies the
+    forcings one by one, in plan order."""
+    forced = [f.var for f in plan if f.var not in m.clamps]
+    roots = [v for v in m.var_ids if v not in m.clamps and v not in forced]
+    levels: dict[Fraction, list] = {}
+    for mask in range(1 << len(roots)):
+        a = dict(m.clamps)
+        a.update((v, mask >> i & 1) for i, v in enumerate(roots))
+        alive = True
+        for f in plan:
+            got = f.table[sum(a[x] << j for j, x in enumerate(f.args))]
+            if f.var in m.clamps:
+                alive = alive and got == m.clamps[f.var]
+            else:
+                a[f.var] = got
+        if alive:
+            levels.setdefault(gl.total_energy(m, a), []).append([a[v] for v in m.var_ids])
+    if not levels:
+        return None
+    e0 = min(levels)
+    states = np.array(sorted(levels[e0]), dtype=np.uint8).T
+    return e0, list(m.clamps) + roots + forced, states
+
+
+# The plan is built from one seeded generator: a failing case then shrinks
+# in seconds, where a strategy of a few hundred draws took minutes.
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=True))
+def test_ground_matrix_of_arbitrary_forcing_tables_matches_plain_loop(rng):
+    m, plan = _forcing_plan(rng)
+    expected = _plain_ground_matrix(m, plan)
+    # one mask per block, a few masks per block, and the default
+    for budget in (1, 5000, gl.model._BLOCK_BYTES):
+        with mock.patch.object(gl.model, "_BLOCK_BYTES", budget):
+            got = gl.model._ground_matrix(m, plan, gl.model.DEFAULT_CAP)
+        if expected is None:
+            assert got is None
+            continue
+        assert got[:2] == expected[:2]
+        assert np.array_equal(got[2], expected[2])
 
 
 # Spellings of a few values, several per value, so equal tables can be

@@ -104,6 +104,23 @@ def test_evaluate_and_truth_table():
     assert gl.evaluate(both, {"a": 1}) == {"a": 1, "y": 0}
 
 
+def test_truth_table_validates_once(monkeypatch):
+    xor3 = gl.TruthFunction(3, (0, 1, 1, 0, 1, 0, 0, 1))
+    nl = gl.decompose_to_basis(xor3)
+    calls = []
+    original = gl.Netlist.validate
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(gl.Netlist, "validate", counted)
+    assert gl.netlist_truth_table(nl) == xor3
+    assert len(calls) == 1
+    gl.evaluate(nl, dict.fromkeys(nl.inputs, 0))
+    assert len(calls) == 2  # evaluate still validates on every call
+
+
 def test_evaluate_random_netlists_are_deterministic():
     rng = random.Random(31)
     for _ in range(5):
