@@ -158,10 +158,11 @@ def cmd_dtm(args) -> int:
 def cmd_solve(args) -> int:
     model = parse_model(_read(args.path), allow_ports=True)
     if args.method == "exact":
-        energy, _, states = _ground_matrix(model, None, DEFAULT_CAP)
+        report, _, states = _ground_matrix(model, None, DEFAULT_CAP)
         # one bitstring per ground state, its bits in variable-id order
         rows = np.vstack([states | ord("0"), np.full(states.shape[1], ord("\n"), dtype=np.uint8)])
-        sys.stdout.write(f"E0={energy} deg={states.shape[1]}\n" + rows.T.tobytes().decode())
+        sys.stdout.write(f"E0={report.ground_energy} deg={report.ground_degeneracy}\n"
+                         + rows.T.tobytes().decode())
         return EXIT_OK
     sched = AnnealSchedule(
         t_start=args.t_start,

@@ -38,6 +38,7 @@ from .model import (
     _scan,
     _slot_blocks,
     _stamp,
+    _unpacked,
     as_energy,
     format_model,
     parse_statements,
@@ -127,11 +128,11 @@ def _scan_minima(g: Gadget, fn: TruthFunction | None = None, cap: int = SCAN_CAP
     """
     denom, _, blocks = _scan(g.fragment, plan, cap)
     want = np.array(fn.outputs, dtype=np.uint8) if fn is not None else None
-    ports = g.fragment._rows(g.inputs + (g.output,))
+    ports = g.fragment._rows(g.inputs + (g.output,)).tolist()
     best = wrong = None
     # gadget fragments carry no clamps, so every state is alive
-    for bits, _, energy in blocks:
-        state = bits(ports, slice(None))
+    for rows, _, energy in blocks:
+        state = _unpacked([rows[r] for r in ports], len(energy))
         x = np.zeros(len(energy), dtype=np.intp)
         for j in range(g.arity):
             x |= state[j].astype(np.intp) << j

@@ -48,34 +48,37 @@ entries, folds the clamped variables out of the terms once per distinct
 integer offset.  The exact solvers and the annealer read its output.
 
 Every exact solver (`enumerate_ground_states`, `spectrum`, the gadget
-scans, `Network.ground_states`) reduces one bit-parallel scan, `_scan`,
-over the masks of the roots, the free variables no forcing assigns.  Masks
-are scanned in aligned blocks of 2**b, b sized from `_BLOCK_BYTES`: the low
-b roots vary within a block, the high roots are fixed by its number, and
-each solver carries its running result from block to block.  A folded term
-whose variables are all roots is blind: its table is an array with one
-axis per root, added by broadcasting over the block's (2,)*b energy array,
-which starts at the offset, after slicing it at the block's high roots.
-Without a plan every term is blind and no value matrix is built; the
-solvers take the state bits they need from the masks.  With a plan the
-forcings run bit-sliced, in plan order: each variable's values over the
-block are one Python int, bit m its value under mask m (roots are fixed
-bit patterns, clamps 0 or all ones), and each forcing is a few bitwise
-operations on its arguments' ints, derived once per distinct table.  The
-ints are unpacked once per block into a uint8 value matrix, one row per
-variable, in id order, and one column per mask.  A term that touches a
-forced variable is gathered from it: the gathered terms, stacked by
-arity, each add one gather-and-sum to the energy vector.  Energies are
-summed in int64 when the largest possible sum stays below 2**62, as
-Python ints otherwise.  The ground states come back as one dict each,
-built by difference from the sorted state before it (`_as_dicts`).
+scans, `Network.ground_states`) reduces one bit-sliced scan, `_scan`, over
+the masks of the roots, the free variables no forcing assigns.  Masks are
+scanned in aligned blocks of 2**b, b sized from `_BLOCK_BYTES`: the low b
+roots vary within a block, the high roots are fixed by its number, and each
+solver carries its running result from block to block.  Every block is
+built the same way: each variable's values over the block are one Python
+int, bit m its value under mask m.  Roots are fixed bit patterns, clamps 0
+or all ones, and each forcing of a plan is a few bitwise operations on its
+arguments' ints, derived once per distinct table; without a plan there are
+no forcings.  A folded term whose variables are all roots is blind: its
+table is an array with one axis per root, added by broadcasting over the
+block's (2,)*b energy array, which starts at the offset, after slicing it
+at the block's high roots.  A term that touches a forced variable is
+gathered: the ints are unpacked into a uint8 value matrix, one row per
+variable in id order and one column per mask, and the gathered terms,
+stacked by arity, each add one gather-and-sum to the energy vector.
+Energies are summed in int64 when the largest possible sum stays below
+2**62, as Python ints otherwise.  The solvers unpack only the rows they
+read (`_unpacked`), and the ground-state readout only in blocks that reach
+the lowest energy so far.  One reducer, `_ground_matrix`, keeps the
+two lowest levels, the ground degeneracy and, on request, the ground
+columns; `spectrum` is its report, and the ground states come back as one
+dict each, built by difference from the sorted state before it
+(`_as_dicts`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate, islice
 from math import lcm
 from typing import NamedTuple
@@ -629,19 +632,17 @@ def _scan(model: EnergyModel, plan: Plan | None, cap: int):
 
     Returns (denom, keys, blocks); root i is bit i of a mask.  `keys` lists
     the clamped variables, then the roots, then the forced variables in
-    plan order.  `blocks` yields (bits, alive, energy) per block with at
+    plan order.  `blocks` yields (rows, alive, energy) per block with at
     least one alive mask: `energy` holds the integer energies over denom of
     the block's masks in increasing order, `alive` is False where a forced
-    value contradicts a clamp, and `bits(rows, cols)` gives the values of
-    the variables at the listed value-matrix rows (one uint8 row each; every
-    variable in id order when rows is None) at the block columns `cols`, a
-    boolean mask or a slice.
+    value contradicts a clamp, and `rows` holds one int per value-matrix row
+    (the variables in id order), whose bit m is the variable's value under
+    the block's mask m; `_unpacked` reads them as uint8 rows.
 
-    A plan runs bit-sliced: each variable's values over a block's masks are
-    one Python int, whose bit m is its value under the block's mask m, and
-    each forcing is a few bitwise operations on its arguments' ints
-    (`_forcing_steps`).  The ints are unpacked once per block into the
-    value matrix that the gathered terms and `bits` read.
+    Every block is bit-sliced the same way: roots are fixed bit patterns,
+    clamps 0 or all ones, and each forcing, if there is a plan, is a few
+    bitwise operations on its arguments' ints (`_forcing_steps`).  Only
+    gathered terms unpack the rows into a value matrix, once per block.
     """
     ids = np.sort(model._ids)
     n = len(ids)
@@ -674,54 +675,41 @@ def _scan(model: EnergyModel, plan: Plan | None, cap: int):
     energy_dtype, gathered, blind = _term_groups(terms, ids, offset, root_rows)
 
     # Blocks are aligned runs of 2**b masks: the low b roots vary within a
-    # block and the high roots are fixed by its number.  A scan with
-    # forcings keeps a value matrix per block; a blind scan only an energy
-    # vector and its consumers' temporaries.
+    # block and the high roots are fixed by its number.  Gathered terms
+    # unpack a value matrix per block; without them a block keeps only its
+    # energy vector and its consumers' temporaries.
     per_mask = 32 + 2 * energy_dtype.itemsize
-    if plan:
-        widest = max([(2 + energy_dtype.itemsize) * len(g[1]) for g in gathered] + [0])
-        per_mask = n + widest + 32
+    if gathered:
+        per_mask = n + 32 + max((2 + energy_dtype.itemsize) * len(g[1]) for g in gathered)
     b = min(len(roots), max(1, _BLOCK_BYTES // per_mask).bit_length() - 1)
     size = 1 << b
     addends = [_block_addend(key, table, b) for key, table in blind.items()]
-    root_list, clamp_list = [-1] * n, clamp_at.tolist()
-    for i, r in enumerate(root_rows.tolist()):
-        root_list[r] = i
-    if plan:
-        # A bit-sliced block holds one int per value-matrix row, one per
-        # clamped forcing (`checks`) and last `full`, with every mask's bit
-        # set.  Clamps are 0 or full, and low root i has bit m set where m
-        # has bit i, in every block: its pattern doubles with the block.
-        full, low = (1 << size) - 1, []
-        for i in range(b):
-            w = 1 << i
-            low = [p | p << w for p in low] + [((1 << w) - 1) << w]
-        base = [full * bit for bit in clamp_list] + [0] * len(checks) + [full]
-        for r, pattern in zip(root_rows.tolist(), low):
-            base[r] = pattern
-        high = list(zip(root_rows[b:].tolist(), range(len(roots) - b)))
-        checks = [full * bit for bit in checks]
+    # A block holds one int per value-matrix row, one per clamped forcing
+    # (`checks`) and last `full`, with every mask's bit set.  Clamps are 0
+    # or full, low roots the fixed patterns of `_root_patterns`, high roots
+    # 0 or full by the block's number.
+    full = (1 << size) - 1
+    base = [full * bit for bit in clamp_at.tolist()] + [0] * len(checks) + [full]
+    for r, pattern in zip(root_rows.tolist(), _root_patterns(b)):
+        base[r] = pattern
+    high = list(zip(root_rows[b:].tolist(), range(len(roots) - b)))
+    checks = [full * bit for bit in checks]
 
     def blocks():
         for number in range(1 << (len(roots) - b)):
+            v = base.copy()
+            for r, shift in high:
+                v[r] = full * (number >> shift & 1)
+            for step, out, args in steps:
+                v[out] = step(v, args)
             alive = np.ones(size, dtype=bool)
-            if plan:
-                v = base.copy()
-                for r, shift in high:
-                    v[r] = full * (number >> shift & 1)
-                for step, out, args in zip(*steps):
-                    v[out] = step(v, args)
-                if checks:
-                    agree = full
-                    for got, bit in zip(v[n:], checks):
-                        agree &= ~(got ^ bit)
-                    if not agree:
-                        continue
-                    alive = _unpacked([agree], size)[0].view(bool)
-                vals = _unpacked(v[:n], size)
-                bits = partial(_matrix_bits, vals)
-            else:
-                bits = partial(_mask_bits, number << b, size, root_list, clamp_list)
+            if checks:
+                agree = full
+                for got, bit in zip(v[n:], checks):
+                    agree &= ~(got ^ bit)
+                if not agree:
+                    continue
+                alive = _unpacked([agree], size)[0].view(bool)
             energy = np.full((2,) * b, offset, dtype=energy_dtype)
             for tables, hi_shifts in addends:
                 hi = 0
@@ -729,9 +717,11 @@ def _scan(model: EnergyModel, plan: Plan | None, cap: int):
                     hi = hi << 1 | (number >> shift) & 1
                 energy += tables[hi]
             energy = energy.reshape(-1)
-            for arg_cols, tables in gathered:
-                energy += _gather(tables, vals, arg_cols).sum(axis=0)
-            yield bits, alive, energy
+            if gathered:
+                vals = _unpacked(v[:n], size)
+                for arg_cols, tables in gathered:
+                    energy += _gather(tables, vals, arg_cols).sum(axis=0)
+            yield v[:n], alive, energy
 
     return denom, list(clamps) + roots + forced, blocks()
 
@@ -756,26 +746,24 @@ def _block_addend(key, table, b):
 def _unpacked(ints, size):
     """Bits 0..size-1 of each int as one uint8 row: bit m at column m."""
     nbytes = (size + 7) // 8
-    raw = b"".join([x.to_bytes(nbytes, "little") for x in ints])
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), nbytes)
+    if size <= 64:  # numpy converts ints of one word 3x faster than to_bytes
+        packed = np.array(ints, dtype="<u8").view(np.uint8).reshape(len(ints), 8)[:, :nbytes]
+    else:
+        raw = b"".join([x.to_bytes(nbytes, "little") for x in ints])
+        packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), nbytes)
     return np.unpackbits(packed, axis=1, count=size, bitorder="little")
 
 
-def _matrix_bits(vals, rows, cols):
-    """`bits` of a block with a value matrix: the listed rows."""
-    picked = vals[:, cols]
-    return picked if rows is None else picked[rows]
-
-
-def _mask_bits(start, size, root_at, clamp_at, rows, cols):
-    """`bits` of a blind block: root bits read from the masks, clamps
-    repeated (`root_at` and `clamp_at` are lists over the rows)."""
-    rows = range(len(root_at)) if rows is None else rows.tolist()
-    masks = np.arange(start, start + size, dtype=np.int64)[cols]
-    out = np.empty((len(rows), len(masks)), dtype=np.uint8)
-    for i, r in enumerate(rows):
-        out[i] = clamp_at[r] if root_at[r] < 0 else (masks >> root_at[r]) & 1
-    return out
+@lru_cache(maxsize=32)
+def _root_patterns(b):
+    """The ints of the low roots 0..b-1 over a block of 2**b masks: root
+    i's has bit m set where m has bit i.  Each pattern doubles with the
+    block, so they are built by shift and OR."""
+    low = []
+    for i in range(b):
+        w = 1 << i
+        low = [p | p << w for p in low] + [((1 << w) - 1) << w]
+    return tuple(low)
 
 
 def _gather(tables, vals, arg_cols):
@@ -827,10 +815,10 @@ def _bitsliced(table: tuple):
 def _forcing_steps(plan: Plan, ids, root_rows, clamped, clamp_at):
     """The plan as (steps, checks) for a bit-sliced block.
 
-    `steps` is three lists in plan order: each forcing's table as bitwise
-    operations (`_bitsliced`, made once per distinct table), the slot it
-    writes, which is its variable's value-matrix row, and its argument
-    rows.  A forcing of a clamped variable instead writes slot n + i, its
+    `steps` lists one triple per forcing, in plan order: its table as
+    bitwise operations (`_bitsliced`, made once per distinct table), the
+    slot it writes, which is its variable's value-matrix row, and its
+    argument rows.  A forcing of a clamped variable instead writes slot n + i, its
     index i among those forcings, and `checks[i]` is that variable's clamp
     bit.  Raises ModelError when a free variable is forced twice or read
     before its forcing.
@@ -857,7 +845,7 @@ def _forcing_steps(plan: Plan, ids, root_rows, clamped, clamp_at):
     slots = out.copy()
     slots[on_clamp] = n + np.arange(count - len(free))
     fns = [_bitsliced(tuple(table)) for table in args.tables]
-    steps = [fns[t] for t in args.tidx.tolist()], slots.tolist(), arg_rows.tolist()
+    steps = list(zip([fns[t] for t in args.tidx.tolist()], slots.tolist(), arg_rows.tolist()))
     return steps, clamp_at[out[on_clamp]].tolist()
 
 
@@ -924,25 +912,41 @@ def _root_table(table, roots):
     return tuple(axes[a] for a in order), table.reshape((2,) * len(roots)).transpose(order)
 
 
-def _ground_matrix(model: EnergyModel, plan: Plan | None, cap: int):
-    """Minimum energy over the alive states of `_scan` and every state
-    reaching it, as (E0, keys, states), or None when no state is alive.
+def _ground_matrix(model: EnergyModel, plan: Plan | None, cap: int, states: bool = True):
+    """The two lowest levels over the alive states of `_scan`, as
+    (SpectrumReport, keys, states), or None when no state is alive.
 
-    `states` has one uint8 row per variable in id order and one column per
-    ground state, the columns sorted lexicographically by variable id;
-    `keys` is `_scan`'s order of the variables.
+    The report counts the alive states at E0.  `states` has one uint8 row
+    per variable in id order and one column per ground state, the columns
+    sorted lexicographically by variable id; it is None when not asked for,
+    so that a highly degenerate ground level holds no columns.  `keys` is
+    `_scan`'s order of the variables.
     """
     denom, keys, blocks = _scan(model, plan, cap)
-    best = None
-    found = []
-    for bits, alive, energy in blocks:
-        low = int(energy[alive].min())
-        if best is None or low < best:
-            best, found = low, []
-        if low == best:
-            found.append(bits(None, alive & (energy == best)))
-    if best is None:
+    e0 = e1 = None
+    count, found = 0, []
+    for rows, alive, energy in blocks:
+        live = energy[alive]
+        low = int(live.min())
+        if e1 is not None and low >= e1:
+            continue  # the block changes neither level
+        rest = live[live != low]
+        above = int(rest.min()) if len(rest) else None
+        levels = sorted({e0, e1, low, above} - {None})
+        count = ((count if e0 == levels[0] else 0)
+                 + (len(live) - len(rest) if low == levels[0] else 0))
+        if states and low == levels[0]:
+            if low != e0:
+                found = []
+            found.append(_unpacked(rows, len(energy))[:, np.flatnonzero(alive & (energy == low))])
+        e0, e1 = levels[0], (levels[1] if len(levels) > 1 else None)
+    if e0 is None:
         return None
+    ground = Fraction(e0, denom)
+    first = Fraction(e1, denom) if e1 is not None else None
+    report = SpectrumReport(ground, count, first, first - ground if first is not None else None)
+    if not states:
+        return report, keys, None
     states = np.concatenate(found, axis=1)
     if states.shape[1] > 1:
         # Rows are in variable-id order, so comparing the bit-packed columns
@@ -951,7 +955,7 @@ def _ground_matrix(model: EnergyModel, plan: Plan | None, cap: int):
         packed = np.packbits(states, axis=0).T.copy()
         order = np.argsort(packed.view(np.dtype((np.void, packed.shape[1]))).ravel())
         states = states[:, order]
-    return Fraction(best, denom), keys, states
+    return report, keys, states
 
 
 def _as_dicts(model: EnergyModel, keys, states) -> list[Assignment]:
@@ -976,20 +980,6 @@ def _as_dicts(model: EnergyModel, keys, states) -> list[Assignment]:
     return out
 
 
-def _ground_set(model: EnergyModel, plan: Plan | None, cap: int):
-    """`_ground_matrix` with the states as dicts: (E0, [state]), or None.
-
-    States come back sorted lexicographically by variable id; each dict
-    lists the clamps, then the roots, then the forced variables in plan
-    order.
-    """
-    ground = _ground_matrix(model, plan, cap)
-    if ground is None:
-        return None
-    e0, keys, states = ground
-    return e0, _as_dicts(model, keys, states)
-
-
 def enumerate_ground_states(
     model: EnergyModel, cap: int = DEFAULT_CAP
 ) -> tuple[Fraction, list[Assignment]]:
@@ -999,27 +989,13 @@ def enumerate_ground_states(
     in each returned assignment.  Assignments come back sorted
     lexicographically by variable id.
     """
-    return _ground_set(model, None, cap)
+    report, keys, states = _ground_matrix(model, None, cap)
+    return report.ground_energy, _as_dicts(model, keys, states)
 
 
 def spectrum(model: EnergyModel, cap: int = DEFAULT_CAP) -> SpectrumReport:
     """Ground energy, exact degeneracy, and the first excited level if any."""
-    denom, _, blocks = _scan(model, None, cap)
-    e0 = e1 = None
-    count0 = 0
-    # without a plan every state is alive
-    for _, _, energy in blocks:
-        low = int(energy.min())
-        is_low = energy == low
-        n_low = int(is_low.sum())
-        above = int(energy[~is_low].min()) if n_low < len(energy) else None
-        levels = sorted({e0, e1, low, above} - {None})
-        count0 = (count0 if e0 == levels[0] else 0) + (n_low if low == levels[0] else 0)
-        e0, e1 = levels[0], (levels[1] if len(levels) > 1 else None)
-    ground = Fraction(e0, denom)
-    first = Fraction(e1, denom) if e1 is not None else None
-    gap = first - ground if first is not None else None
-    return SpectrumReport(ground, count0, first, gap)
+    return _ground_matrix(model, None, cap, states=False)[0]
 
 
 # --- dump format -----------------------------------------------------------

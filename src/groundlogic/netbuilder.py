@@ -116,12 +116,13 @@ class Network:
 
     def ground_states(self, cap: int = DEFAULT_CAP) -> tuple[Fraction, list[Assignment]]:
         """Exact ground set by conditioning on the unforced free variables."""
-        e0, keys, states = self._ground_matrix(cap)
-        return e0, _as_dicts(self.model, keys, states)
+        report, keys, states = self._ground_matrix(cap)
+        return report.ground_energy, _as_dicts(self.model, keys, states)
 
     def _ground_matrix(self, cap: int):
-        """`ground_states` as `model._ground_matrix` gives it: (E0, keys,
-        states), one state per column."""
+        """`ground_states` as `model._ground_matrix` gives it: (report,
+        keys, states), the report of the two lowest levels over the
+        consistent states, and one ground state per column."""
         if not self.edc:
             raise ModelError(
                 "conditioned solve needs input-independent gate ground energies; "

@@ -551,6 +551,12 @@ def verify_ground_histories(lattice: Lattice, cap: int = DEFAULT_CAP) -> bool:
 
 
 def format_dtm(dtm: DtmSpec) -> str:
+    """Render the machine text format.  Raises DtmError for a state name
+    that would not read back: one token, free of '#' and whitespace."""
+    for q in dtm.states:
+        if q.split() != [q] or "#" in q:
+            raise DtmError(f"state name {q!r} does not read back: "
+                           "use one token without '#' or whitespace")
     lines = [f"STATE {q}" for q in dtm.states]
     lines.append(f"START {dtm.start}")
     lines += [f"HALT {q}" for q in sorted(dtm.halts)]

@@ -249,9 +249,11 @@ def test_plan_reading_an_undeclared_variable_is_refused():
     sparse = gl.EnergyModel([gl.Variable(0), gl.Variable(5)], [gl.EnergyTerm((0, 5), (1, 0, 0, 1))])
     plan = gl.model.Plan([gl.Forcing(5, (9,), (1, 0))])
     with pytest.raises(gl.ModelError, match="reads an undeclared variable"):
-        gl.model._ground_set(sparse, plan, 1 << 10)
+        gl.model._ground_matrix(sparse, plan, 1 << 10)
     ok = gl.model.Plan([gl.Forcing(5, (0,), (1, 0))])
-    assert gl.model._ground_set(sparse, ok, 1 << 10) == (0, [{0: 0, 5: 1}, {0: 1, 5: 0}])
+    report, keys, states = gl.model._ground_matrix(sparse, ok, 1 << 10)
+    assert report == gl.SpectrumReport(0, 2, None, None)
+    assert gl.model._as_dicts(sparse, keys, states) == [{0: 0, 5: 1}, {0: 1, 5: 0}]
 
 
 NOT_NOT = "INPUT a\nOUTPUT y\nGATE NOT a -> t\nGATE NOT t -> y\n"
@@ -274,7 +276,7 @@ def test_plan_reading_a_variable_before_it_is_set_is_refused():
 def test_plan_on_a_model_without_variables_is_refused():
     plan = gl.model.Plan([gl.Forcing(0, (1,), (1, 0))])
     with pytest.raises(gl.ModelError, match="assigns an undeclared variable"):
-        gl.model._ground_set(gl.EnergyModel(()), plan, 1 << 10)
+        gl.model._ground_matrix(gl.EnergyModel(()), plan, 1 << 10)
 
 
 def test_plan_table_of_the_wrong_length_is_refused():

@@ -439,7 +439,8 @@ def _forcing_plan(rng):
 
 def _plain_ground_matrix(m, plan):
     """`_ground_matrix` by a loop over the root masks that applies the
-    forcings one by one, in plan order."""
+    forcings one by one, in plan order: the report of the two lowest levels
+    over the alive masks, the keys and the ground states."""
     forced = [f.var for f in plan if f.var not in m.clamps]
     roots = [v for v in m.var_ids if v not in m.clamps and v not in forced]
     levels: dict[Fraction, list] = {}
@@ -457,9 +458,22 @@ def _plain_ground_matrix(m, plan):
             levels.setdefault(gl.total_energy(m, a), []).append([a[v] for v in m.var_ids])
     if not levels:
         return None
-    e0 = min(levels)
+    e0, *rest = sorted(levels)
+    e1 = rest[0] if rest else None
+    report = gl.SpectrumReport(e0, len(levels[e0]), e1, e1 - e0 if rest else None)
     states = np.array(sorted(levels[e0]), dtype=np.uint8).T
-    return e0, list(m.clamps) + roots + forced, states
+    return report, list(m.clamps) + roots + forced, states
+
+
+@pytest.mark.parametrize("size", [1, 8, 63, 64, 65, 512])
+def test_unpacked_rows_match_a_bit_loop(size):
+    # blocks of up to 64 masks convert their ints through uint64, larger
+    # ones through bytes; both give bit m of each int at column m
+    rng = random.Random(size)
+    ints = [rng.getrandbits(size) for _ in range(5)] + [(1 << size) - 1, 0]
+    expected = [[x >> m & 1 for m in range(size)] for x in ints]
+    assert gl.model._unpacked(ints, size).tolist() == expected
+    assert gl.model._unpacked([], size).shape == (0, size)
 
 
 # The plan is built from one seeded generator: a failing case then shrinks
@@ -473,11 +487,13 @@ def test_ground_matrix_of_arbitrary_forcing_tables_matches_plain_loop(rng):
     for budget in (1, 5000, gl.model._BLOCK_BYTES):
         with mock.patch.object(gl.model, "_BLOCK_BYTES", budget):
             got = gl.model._ground_matrix(m, plan, gl.model.DEFAULT_CAP)
+            levels_only = gl.model._ground_matrix(m, plan, gl.model.DEFAULT_CAP, states=False)
         if expected is None:
-            assert got is None
+            assert got is None and levels_only is None
             continue
         assert got[:2] == expected[:2]
         assert np.array_equal(got[2], expected[2])
+        assert levels_only == (expected[0], expected[1], None)
 
 
 # Spellings of a few values, several per value, so equal tables can be

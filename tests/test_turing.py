@@ -285,6 +285,13 @@ def test_dtm_text_format_round_trip():
     assert gl.format_dtm(parsed) == text
 
 
+@pytest.mark.parametrize("name", ["a#b", "a b", "", "q\nSTART x"])
+def test_dtm_state_names_that_do_not_read_back_are_refused(name):
+    dtm = gl.DtmSpec((name,), name, frozenset({name}), {})
+    with pytest.raises(gl.turing.DtmError, match="does not read back"):
+        gl.format_dtm(dtm)
+
+
 def test_dtm_text_format_errors():
     with pytest.raises(gl.turing.DtmFormatError) as info:
         gl.parse_dtm("STATE q\nSTART q\nDELTA q 0 -> q 1 X\n")
