@@ -38,8 +38,9 @@ only what they add.  The dump reader (`parse_statements`) is one pass that
 checks each line against the lines before it, raises at the first defect,
 and writes the rows straight into the columns; by then it has made every
 check of `_check`, so it assembles the model without them.  Gadget
-copies and lattice cells are placed by `_stamp`: one fancy index of their
-columns, over slots, through slot-to-id maps.
+copies, in netlists, lattices and the symmetrizer alike, are placed by
+`_stamp`: one fancy index of the gadgets' columns, over slots, through one
+slot-to-id map row per copy.
 
 Clamps are folded out once, in integers, by `_integer_terms`, for every
 solver: it scales each distinct table by the common denominator of all
@@ -321,31 +322,31 @@ def _check_maps(maps: np.ndarray) -> None:
         raise ModelError("placement maps two variables to one")
 
 
-def _stamp(blocks: _Blocks, which, maps: np.ndarray, map_rows=None) -> _Blocks:
-    """Copy i of block which[i] renamed through map row maps[map_rows[i]]
-    (row i by default); the copies, in order, are the result's blocks.
+def _stamp(blocks: _Blocks, which, maps: np.ndarray) -> _Blocks:
+    """Copy i of block which[i] renamed through map row maps[i]; the
+    copies, in order, are the result's blocks.
 
     A map row lists the id of each slot and ends in -1, which the -1 pads
     index; each map row must be injective.  All copies' terms are one fancy
-    index of the blocks' columns through the maps, and so are their forcings.
+    index of the blocks' columns through the maps, and so are their
+    forcings.  A lattice gives each gate copy its own row, the gate's slot
+    row composed with its cell's map.
     """
     _check_maps(maps)
     which = np.asarray(which, dtype=np.intp)
-    map_rows = np.arange(len(which)) if map_rows is None else np.asarray(map_rows)
 
     def copies(rows: _Rows, cut):
         sizes = (cut[1:] - cut[:-1])[which]
         ends = sizes.cumsum()
         copy = np.repeat(np.arange(len(which)), sizes)
         picks = np.arange(len(copy)) + (cut[which] + sizes - ends)[copy]
-        at = map_rows[copy]
-        placed = _Rows(maps[at[:, None], rows.vars[picks]], rows.arity[picks], rows.tidx[picks],
+        placed = _Rows(maps[copy[:, None], rows.vars[picks]], rows.arity[picks], rows.tidx[picks],
                        rows.tables)
-        return placed, picks, at, np.concatenate(([0], ends))
+        return placed, picks, copy, np.concatenate(([0], ends))
 
     rows, _, _, row_cut = copies(blocks.rows, blocks.row_cut)
-    args, picks, at, forcing_cut = copies(blocks.forcings.args, blocks.forcing_cut)
-    forcings = Plan._of(maps[at, blocks.forcings.var[picks]], args)
+    args, picks, copy, forcing_cut = copies(blocks.forcings.args, blocks.forcing_cut)
+    forcings = Plan._of(maps[copy, blocks.forcings.var[picks]], args)
     return _Blocks(rows, forcings, row_cut, forcing_cut)
 
 

@@ -19,6 +19,7 @@ budget.  Both conditions are checked before solving.  The scan itself is
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -165,14 +166,15 @@ def _gate_gadget(gate, fn: TruthFunction, policy: str, penalty, and_profile) -> 
 
 
 class _GateGadgets:
-    """Gate to gadget, shared by `compile_netlist` and the lattice stamp.
+    """Gate to gadget, and placed gadget copies to a Network; shared by
+    `compile_netlist` and `build_lattice`.
 
     Everything that depends only on the gadget is derived once per distinct
     (kind, function after folding repeated inputs), or wire-chain length:
-    the gadget, its block in `blocks()` and its ancilla label suffixes in
-    `resolve` and `chain`, its counts, floor and ground energy from its use
-    count in `totals`.  These gadgets number their variables 0..m-1, so a
-    variable's slot in `blocks()` is its id.
+    the gadget, its block in `blocks()` and its ancilla label suffixes, in
+    `resolve` and `chain`.  These gadgets number their variables 0..m-1, so
+    a variable's slot in `blocks()` is its id.  `network` stamps a list of
+    placed copies and tallies their elements off the same list.
     """
 
     def __init__(self, policy: str, penalty: Fraction, and_profile, coupling=1):
@@ -181,64 +183,60 @@ class _GateGadgets:
         self.and_profile = and_profile
         self.coupling = coupling
         self.functions: dict = {}
-        self.gadgets: dict = {}  # key -> (gadget, block, ancilla (id, label suffix) pairs)
-        self.uses: dict = {}  # key -> placed copies, in order of first use
+        self.block_of: dict = {}  # (kind, outputs) or ("wire", length) -> block
+        self.gadgets: list = []  # by block: (gadget, ancilla (id, label suffix) pairs)
 
     def _entry(self, key, make):
-        entry = self.gadgets.get(key)
-        if entry is None:
+        block = self.block_of.get(key)
+        if block is None:
             g = make()
-            ancillae = [(a, g.fragment.variable(a).label or a) for a in g.ancillae]
-            entry = self.gadgets[key] = (g, len(self.gadgets), ancillae)
-        return entry
+            block = self.block_of[key] = len(self.gadgets)
+            self.gadgets.append((g, [(a, g.fragment.variable(a).label or a) for a in g.ancillae]))
+        return (*self.gadgets[block], block)
 
     def resolve(self, gate):
-        """(key, gadget, block, ancilla (id, label suffix) pairs, unique input nets)."""
+        """(gadget, ancilla (id, label suffix) pairs, block, unique input nets)."""
         fn_key = (gate.kind, len(gate.inputs), gate.func)
         fn = self.functions.get(fn_key)
         if fn is None:
             fn = self.functions[fn_key] = _gate_function(gate)
         fn, unique_ins = fold_repeated_inputs(fn, gate.inputs)
-        key = (gate.kind, fn.outputs)
-        g, block, ancillae = self._entry(
-            key, lambda: _gate_gadget(gate, fn, self.policy, self.penalty, self.and_profile))
-        return key, g, block, ancillae, unique_ins
+        entry = self._entry((gate.kind, fn.outputs), lambda: _gate_gadget(
+            gate, fn, self.policy, self.penalty, self.and_profile))
+        return (*entry, unique_ins)
 
     def chain(self, length: int):
-        """(key, gadget, block) of the wire chain of `length` variables."""
-        key = ("wire", length)
-        g, block, _ = self._entry(key, lambda: make_wire_chain(length, self.coupling))
-        return key, g, block
+        """(gadget, block) of the wire chain of `length` variables."""
+        g, _, block = self._entry(("wire", length), lambda: make_wire_chain(length, self.coupling))
+        return g, block
 
     def blocks(self):
-        return _slot_blocks([(g.fragment, g.forcings) for g, _, _ in self.gadgets.values()])
+        return _slot_blocks([(g.fragment, g.forcings) for g, _ in self.gadgets])
 
-    def use(self, key, counts: dict[str, int], copies: int = 1):
-        """Count placed copies; a gadget's element kinds enter `counts` at
-        its first use."""
-        if key in self.uses:
-            self.uses[key] += copies
-        else:
-            self.uses[key] = copies
-            for k in self.gadgets[key][0].counts:
-                counts.setdefault(k, 0)
-
-    def totals(self, counts: dict[str, int]):
-        """Add the used gadgets' element counts into `counts` and return
-        (floor, base ground, edc)."""
-        floor = None
-        base_ground = Fraction(0)
-        edc = True
-        for key, n in self.uses.items():
-            g = self.gadgets[key][0]
-            for k, v in g.counts.items():
-                counts[k] += n * v
-            floor = g.penalty_floor if floor is None else min(floor, g.penalty_floor)
+    def network(self, which, maps: np.ndarray, roles, labels, **ports) -> Network:
+        """The Network of the placed copies over variables 0..n-1: copy i is
+        block which[i] renamed through map row maps[i] (see `_stamp`).  The
+        element counts, penalty floor, base ground energy and `edc` are read
+        off the same copies, element kinds in order of first placement;
+        `ports` are the port map, inputs and outputs."""
+        uses = [(self.gadgets[b][0], n) for b, n in Counter(np.asarray(which).tolist()).items()]
+        counts, base_ground, edc = Counter(), Fraction(0), True
+        for g, n in uses:
+            counts.update({k: n * v for k, v in g.counts.items()})
             if g.ground_table is None or len(set(g.ground_table)) != 1:
                 edc = False
             else:
                 base_ground += n * g.ground_table[0]
-        return (floor if floor is not None else self.penalty), base_ground, edc
+        placed = _stamp(self.blocks(), which, maps)
+        return Network(
+            model=_build(np.arange(len(labels), dtype=np.int64), roles, labels, placed.rows),
+            elements=ComplexityReport(dict(counts)),
+            forcings=placed.forcings,
+            penalty_floor=min((g.penalty_floor for g, _ in uses), default=self.penalty),
+            base_ground=base_ground,
+            edc=edc,
+            **ports,
+        )
 
 
 def compile_netlist(
@@ -259,8 +257,9 @@ def compile_netlist(
     lengths (L >= 2), each a `make_wire_chain` gadget of coupling
     `wire_coupling` inserted between the net's driver and its consumers.
 
-    Every gate and chain becomes one row of slot-to-id maps; the gadgets'
-    terms and forcings are then placed through all of them by one `_stamp`.
+    Every gate and chain is one placed gadget copy, a block and a row of
+    slot-to-id maps; `_GateGadgets.network` stamps them all at once and
+    tallies the elements off the same list.
     """
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
@@ -286,12 +285,10 @@ def compile_netlist(
     consumer_var: dict[str, int] = {}
     blocks: list[int] = []
     maps: list[list[int]] = []
-    counts: dict[str, int] = {}
 
     def place_chain(net: str):
         """A chain from the net's driver (its id 0) to a new consumer end."""
-        key, g, block = gadgets.chain(wire_chains[net])
-        gadgets.use(key, counts)
+        g, block = gadgets.chain(wire_chains[net])
         row = [driver_var[net]] + [new("wire", f"{net}~{a}") for a in g.ancillae]
         consumer_var[net] = new("wire", f"{net}~end")
         blocks.append(block)
@@ -305,8 +302,7 @@ def compile_netlist(
             place_chain(net)
 
     for gate in order:
-        key, g, block, ancillae, unique_ins = gadgets.resolve(gate)
-        gadgets.use(key, counts)
+        g, ancillae, block, unique_ins = gadgets.resolve(gate)
         row = [0] * (len(g.inputs) + 1 + len(g.ancillae))
         for gv, net in zip(g.inputs, unique_ins):
             row[gv] = consumer_var[net]
@@ -318,20 +314,9 @@ def compile_netlist(
         if gate.output in wire_chains:
             place_chain(gate.output)
 
-    floor, base_ground, edc = gadgets.totals(counts)
-    placed = _stamp(gadgets.blocks(), blocks, _map_array(maps))
-    model = _build(np.arange(len(labels), dtype=np.int64), np.array(roles, dtype=np.int8),
-                   labels, placed.rows)
-    return Network(
-        model=model,
-        port_map=dict(driver_var),
-        inputs=tuple(nl.inputs),
-        outputs=tuple(nl.outputs),
-        elements=ComplexityReport(counts),
-        forcings=placed.forcings,
-        penalty_floor=floor,
-        base_ground=base_ground,
-        edc=edc,
+    return gadgets.network(
+        blocks, _map_array(maps), np.array(roles, dtype=np.int8), labels,
+        port_map=dict(driver_var), inputs=tuple(nl.inputs), outputs=tuple(nl.outputs),
     )
 
 

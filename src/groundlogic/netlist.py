@@ -193,6 +193,16 @@ def netlist_truth_table(nl: Netlist, output: str | None = None) -> TruthFunction
 
 
 def format_netlist(nl: Netlist) -> str:
+    """Render the netlist text format.  Raises NetlistError for what would
+    not read back: a gate of a custom kind, or a net name that is not one
+    token free of '#', or is '->'."""
+    for g in nl.gates:
+        if g.kind not in BASIC_KINDS:
+            raise NetlistError(f"gate kind {g.kind!r} does not read back: use AND, OR or NOT")
+    for n in (*nl.inputs, *nl.outputs, *(n for g in nl.gates for n in (*g.inputs, g.output))):
+        if n.split() != [n] or "#" in n or n == "->":
+            raise NetlistError(f"net name {n!r} does not read back: "
+                               "use one token without '#' or whitespace, other than '->'")
     lines = [f"INPUT {n}" for n in nl.inputs]
     lines += [f"OUTPUT {n}" for n in nl.outputs]
     for g in nl.gates:
@@ -272,7 +282,9 @@ def parse_dimacs(text: str) -> Cnf:
     pending: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if line.startswith("%"):  # SATLIB's end marker; a stray 0 may follow it
+            break
+        if not line or line.startswith("c"):
             continue
         if line.startswith("p"):
             if header_line:

@@ -18,24 +18,24 @@ ground state, with the row left free there is one ground state per possible
 input tape.  `simulate_dtm_oracle` is the independent step-by-step reference
 simulator those ground states are checked against.
 
-`build_lattice` compiles the cell control once and stamps it p^2 times.
-Each of the cell's G gates is resolved to its gadget by the gate-to-gadget
-step `compile_netlist` uses, and its terms and forcings are placed over
+`build_lattice` resolves the cell control's gates once and places them
+p^2 times.  Each of the cell's G gates is resolved to its gadget by the
+gate-to-gadget step `compile_netlist` uses, and written down as a row of
 cell slots: the inputs r, id*, iu*, then the cell's K other nets, then
 each gate's own ancillae.  Each cell's placement map lists the variable id
 of every slot, built by integer offsets with no per-cell gates or net
-names, and the stamp is one fancy index of the cell's term columns (and
-one of its forcing columns) through those maps, gate copy by gate copy in
-the order below (`model._stamp`).  The ids are those a flat compile of the
-p^2 renamed cell netlists would give: register row 1; the boundary bus
-bits, in cell order; then net k of cell c (row-major) at base + c*K + k,
-where k orders the nets by first appearance in the cell's gate list.
-The wiring is written down once, in those maps (`_wire_cells`): a cell's
-R and in-bus slots hold the ids of the neighbours' W and out-bus nets.
-Ancilla ids, terms, forcings and the order of the element counts follow
-`netlist.kahn_order`, the netlists' own order, run over all p^2 G gate
-copies in cell-major order on the ids each copy reads and drives, as its
-cell's map gives them.
+names.  The ids are those a flat compile of the p^2 renamed cell netlists
+would give: register row 1; the boundary bus bits, in cell order; then net
+k of cell c (row-major) at base + c*K + k, where k orders the nets by first
+appearance in the cell's gate list.  The wiring is written down once, in
+those maps (`_wire_cells`): a cell's R and in-bus slots hold the ids of the
+neighbours' W and out-bus nets.  The p^2 G gate copies are placed in
+`netlist.kahn_order`, the netlists' own order, run in cell-major order on
+the ids each copy reads and drives, as its cell's map gives them.  That
+order gives the ancilla ids, and copy by copy the gadget's terms and
+forcings are renamed through the gate row composed with the cell's map;
+`compile_netlist` and the lattice hand their lists of gadget copies to the
+same placement step, which stamps them and tallies the element counts.
 """
 
 from __future__ import annotations
@@ -47,10 +47,9 @@ import numpy as np
 
 from .logic import TruthFunction
 from .model import (
-    _ROLE_CODE, Assignment, DEFAULT_CAP, ModelError, _build, _check_maps, _map_array, _stamp,
-    as_energy,
+    _ROLE_CODE, Assignment, DEFAULT_CAP, ModelError, _check_maps, _map_array, as_energy,
 )
-from .netbuilder import POLICIES, ComplexityReport, Network, _GateGadgets, clamp_inputs
+from .netbuilder import POLICIES, Network, _GateGadgets, clamp_inputs
 from .netlist import Netlist, kahn_order, netlist_from_bit_functions
 
 MOVE_UP = "U"
@@ -65,6 +64,11 @@ class DtmFormatError(DtmError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _is_bit(b) -> bool:
+    """A tape symbol as the text format writes it: 0 or 1, not a bool."""
+    return b in (0, 1) and not isinstance(b, bool)
 
 
 @dataclass(frozen=True)
@@ -100,8 +104,12 @@ class DtmSpec:
         for (q, bit), (q2, b2, move) in self.delta.items():
             if q not in self.states or q2 not in self.states:
                 raise DtmError(f"delta uses undeclared state in ({q!r},{bit})")
-            if b2 not in (0, 1) or move not in (MOVE_UP, MOVE_DOWN):
+            if not _is_bit(bit):
+                raise DtmError(f"bad delta read bit {bit!r} for {q!r}: tape symbols are 0 or 1")
+            if not _is_bit(b2) or move not in (MOVE_UP, MOVE_DOWN):
                 raise DtmError(f"bad delta target for ({q!r},{bit})")
+        if not isinstance(self.decision_cell, int) or isinstance(self.decision_cell, bool):
+            raise DtmError(f"decision cell must be an int, not {self.decision_cell!r}")
 
     @property
     def bus_width(self) -> int:
@@ -263,7 +271,7 @@ def _reg(i: int, j: int) -> str:
 class _CellGate(NamedTuple):
     """One gate of the cell control, compiled over cell slots."""
 
-    key: tuple
+    block: int  # its gadget's block in `_GateGadgets.blocks()`
     reads: tuple[int, ...]  # the slots of its inputs, repeats kept
     out_slot: int
     ancillae: range  # its ancilla slots
@@ -271,13 +279,14 @@ class _CellGate(NamedTuple):
 
 
 def _compile_cell(f: SfscFunction, gadgets: _GateGadgets):
-    """The cell control's gates compiled once, over cell slots.
+    """The cell control's gates resolved once, over cell slots.
 
     Slots 0 .. 2s are the cell inputs r, id*, iu*; the next K slots are the
     cell's other nets, in order of first appearance in its gate list; then
     come each gate's own ancillae, in gate order.  Returns (the K net names,
-    one `_CellGate` per gate in gate order, the gates' terms and forcings
-    as `_Blocks`, one block per gate).
+    one `_CellGate` per gate in gate order, and the gates' slot rows as one
+    `_map_array`: row g gives the cell slot of each of gate g's gadget
+    variables).
     """
     sub = build_sfsc_netlist(f)
     slot = {n: k for k, n in enumerate(sfsc_input_nets(f.bus_width))}
@@ -286,23 +295,22 @@ def _compile_cell(f: SfscFunction, gadgets: _GateGadgets):
         for n in (*gate.inputs, gate.output):
             slot.setdefault(n, len(slot))
     n_slots = len(slot)
-    cell, blocks, maps = [], [], []
+    cell, rows = [], []
     for gate in sub.gates:
-        key, g, block, ancillae, unique_ins = gadgets.resolve(gate)
+        g, ancillae, block, unique_ins = gadgets.resolve(gate)
         row = [0] * (len(g.inputs) + 1 + len(ancillae))
         for gv, n in zip(g.inputs, unique_ins):
             row[gv] = slot[n]
         row[g.output] = slot[gate.output]
         for k, (a, _) in enumerate(ancillae):
             row[a] = n_slots + k
-        blocks.append(block)
-        maps.append(row)
+        rows.append(row)
         cell.append(_CellGate(
-            key, tuple(slot[n] for n in gate.inputs), slot[gate.output],
+            block, tuple(slot[n] for n in gate.inputs), slot[gate.output],
             range(n_slots, n_slots + len(ancillae)), tuple(sfx for _, sfx in ancillae),
         ))
         n_slots += len(ancillae)
-    return list(slot)[n_in:], cell, _stamp(gadgets.blocks(), blocks, _map_array(maps))
+    return list(slot)[n_in:], cell, _map_array(rows)
 
 
 def _wire_cells(p: int, s: int, head_start: int, start_code: int, nets: list[str]):
@@ -385,7 +393,7 @@ def build_lattice(
     if policy not in POLICIES:
         raise ModelError(f"unknown policy {policy!r}")
     gadgets = _GateGadgets(policy, as_energy(penalty), None)
-    nets, cell, compiled = _compile_cell(f, gadgets)
+    nets, cell, gate_rows = _compile_cell(f, gadgets)
     labels, n_inputs, clamp_bits, rows = _wire_cells(p, s, head_start, dtm.code(dtm.start), nets)
     n_nets = len(labels)
     w_slot = 1 + 2 * s + nets.index("w")
@@ -399,7 +407,8 @@ def build_lattice(
     inbus_up = {key: tuple(m[1 + s : 1 + 2 * s]) for key, m in zip(cells, rows)}
 
     # Cell c's map row: the ids of its input and net slots, its ancilla
-    # slots (-1 until placed), and a last -1 that pads a gate's reads.
+    # slots (-1 until placed), and a last -1 that pads a gate's reads and
+    # its slot row.
     G = len(cell)
     n_anc = np.array([len(t.suffixes) for t in cell], dtype=np.int64)
     anc_at = np.array([t.ancillae.start for t in cell], dtype=np.int64)
@@ -407,9 +416,9 @@ def build_lattice(
                       np.full((p * p, int(n_anc.sum()) + 1), -1, dtype=np.int64)])
     _check_maps(maps)
     # Gate copy x = c*G + g is gate g of cell c; it reads and drives the ids
-    # its cell's map gives its slots, and Kahn's order over the copies gives
-    # the ancilla ids and the gadgets' first uses, which order the element
-    # counts.
+    # its cell's map gives its slots.  Kahn's order over the copies is the
+    # placement order: it gives the ancilla ids, and the copies' terms,
+    # forcings and element counts follow it.
     width = max(len(t.reads) for t in cell)
     reads = maps[:, [t.reads + (-1,) * (width - len(t.reads)) for t in cell]]
     drives = maps[:, [t.out_slot for t in cell]]
@@ -427,28 +436,17 @@ def build_lattice(
     names = list(labels)  # the nets, then every ancilla
     for out, g in zip(outs.tolist(), g_of[has].tolist()):
         names += [f"{labels[out]}.{sfx}" for sfx in cell[g].suffixes]
-    counts: dict[str, int] = {}
-    first_use = np.full(G, len(g_of))
-    np.minimum.at(first_use, g_of, np.arange(len(g_of)))
-    for g in np.argsort(first_use, kind="stable").tolist():
-        gadgets.use(cell[g].key, counts, p * p)
-    floor, base_ground, edc = gadgets.totals(counts)
-
     roles = np.full(len(names), _ROLE_CODE["wire"], dtype=np.int8)
     roles[:n_inputs] = _ROLE_CODE["input"]
     roles[[register_var[(p + 1, j)] for j in range(1, p + 1)]] = _ROLE_CODE["output"]
     roles[n_nets:] = _ROLE_CODE["ancilla"]
-    stamped = _stamp(compiled, g_of, maps, c_of)
-    network = Network(
-        model=_build(np.arange(len(names), dtype=np.int64), roles, names, stamped.rows),
+    # copy i places its gate's gadget through its gate row, then its cell's map
+    network = gadgets.network(
+        np.array([t.block for t in cell])[g_of], maps[c_of[:, None], gate_rows[g_of]],
+        roles, names,
         port_map=dict(zip(labels, range(len(labels)))),
         inputs=tuple(labels[:n_inputs]),
         outputs=tuple(_reg(p + 1, j) for j in range(1, p + 1)),
-        elements=ComplexityReport(counts),
-        forcings=stamped.forcings,
-        penalty_floor=floor,
-        base_ground=base_ground,
-        edc=edc,
     )
     bindings = dict(clamp_bits)
     if tape_in is not None:

@@ -25,6 +25,20 @@ def test_parse_errors():
         gl.parse_netlist("WHAT a\n")
 
 
+@pytest.mark.parametrize("nl, message", [
+    (gl.Netlist(["a", "b"], ["y"], [gl.Gate("XOR", ("a", "b"), "y", func=gl.XOR2)]),
+     "gate kind 'XOR'"),
+    (gl.Netlist(["a#1"], ["y"], [gl.Gate("NOT", ("a#1",), "y")]), "net name 'a#1'"),
+    (gl.Netlist(["a"], ["y z"], [gl.Gate("NOT", ("a",), "y z")]), "net name 'y z'"),
+    (gl.Netlist(["a"], ["y"], [gl.Gate("NOT", ("a",), "->"), gl.Gate("NOT", ("->",), "y")]),
+     "net name '->'"),
+    (gl.Netlist(["a"], ["y"], [gl.Gate("AND", ("a", ""), "y")]), "net name ''"),
+], ids=["custom-kind", "hash", "space", "arrow", "empty"])
+def test_format_refuses_what_does_not_read_back(nl, message):
+    with pytest.raises(gl.NetlistError, match=f"^{re.escape(message)} does not read back"):
+        gl.format_netlist(nl)
+
+
 def test_single_driver_enforced():
     nl = gl.Netlist(inputs=["a"], outputs=["y"])
     nl.gates.append(gl.Gate("NOT", ("a",), "y"))
@@ -136,6 +150,13 @@ def test_dimacs_parse_and_round_trip():
     assert cnf.clauses == ((1, -2), (-1, 2, 3))
     again = gl.parse_dimacs(gl.format_dimacs(cnf))
     assert again == cnf
+
+
+def test_dimacs_percent_line_ends_the_clauses():
+    text = "c uf-style\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n"
+    # SATLIB's uf* files end in "%" and a lone 0, which is no empty clause
+    assert gl.parse_dimacs(text + "%\n0\n\n") == gl.parse_dimacs(text)
+    assert gl.parse_dimacs(text + "%\n0\n").clauses == ((1, -2, 3), (-1, 2))
 
 
 def test_dimacs_multiline_clause():

@@ -14,6 +14,17 @@ def test_dtm_validation():
         gl.DtmSpec(("q",), "q", frozenset(), {("q", 0): ("q", 0, "U")})  # delta not total
     with pytest.raises(gl.DtmError):
         gl.DtmSpec(("q",), "q", frozenset(), {("q", 0): ("q", 0, "X"), ("q", 1): ("q", 0, "U")})
+    total = {("q", 0): ("q", 0, "U"), ("q", 1): ("q", 1, "U")}
+    # bits that `format_dtm` would write and `parse_dtm` refuse
+    with pytest.raises(gl.DtmError, match="read bit 2"):
+        gl.DtmSpec(("q",), "q", frozenset(), {**total, ("q", 2): ("q", 0, "U")})
+    with pytest.raises(gl.DtmError, match="read bit True"):
+        gl.DtmSpec(("q", "h"), "q", frozenset({"h"}), {("q", 0): ("h", 0, "U"), ("q", True): ("h", 0, "U")})
+    with pytest.raises(gl.DtmError, match="bad delta target"):
+        gl.DtmSpec(("q",), "q", frozenset(), {**total, ("q", 1): ("q", True, "U")})
+    for cell in (True, 1.5):
+        with pytest.raises(gl.DtmError, match="decision cell"):
+            gl.DtmSpec(("q",), "q", frozenset(), total, decision_cell=cell)
 
 
 @pytest.mark.parametrize("n_states,width", [(1, 1), (2, 2), (3, 2), (4, 3)])
