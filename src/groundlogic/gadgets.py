@@ -330,7 +330,8 @@ def symmetrize(g: Gadget, inverter_penalty=None) -> Gadget:
     maps[:, [slot[v] for v in g.inputs]] = np.arange(n) + n * (copy >> np.arange(n) & 1)
     maps[:, [slot[g.output]]] = 2 * n + copy * (1 + A)
     maps[:, [slot[a] for a in g.ancillae]] = 2 * n + copy * (1 + A) + 1 + np.arange(A)
-    placed = _stamp(_slot_blocks([(g.fragment, g.forcings)]), np.zeros(1 << n, dtype=int), maps)
+    block = _slot_blocks([(g.fragment, g.forcings)])
+    rows, forcings = _stamp(block, np.zeros(1 << n, dtype=int), maps)
     inverter = _gate_table(NOT, p_inv, (Fraction(0),) * 2)
     inverters = _rows_of([(j, n + j) for j in range(n)], [inverter] * n)
     plan = Plan([Forcing(n + j, (j,), NOT.outputs) for j in range(n)])
@@ -346,7 +347,7 @@ def symmetrize(g: Gadget, inverter_penalty=None) -> Gadget:
         np.arange(len(labels), dtype=np.int64),
         np.array([_ROLE_CODE[r] for r in roles], dtype=np.int8),
         labels,
-        _concat([inverters, placed.rows]),
+        _concat([inverters, rows]),
     )
     counts = {k: v << n for k, v in g.counts.items()}
     counts["inverter"] = counts.get("inverter", 0) + n
@@ -357,8 +358,8 @@ def symmetrize(g: Gadget, inverter_penalty=None) -> Gadget:
         output=2 * n,
         ancillae=tuple(ancillae),
         fragment=fragment,
-        forcings=Plan._of(np.concatenate([plan.var, placed.forcings.var]),
-                          _concat([plan.args, placed.forcings.args])),
+        forcings=Plan._of(np.concatenate([plan.var, forcings.var]),
+                          _concat([plan.args, forcings.args])),
         counts=counts,
         penalty_floor=min(g.penalty_floor, p_inv - gain_bound),
         ground_table=tuple(total_ground for _ in range(1 << n)),

@@ -62,17 +62,19 @@ no forcings.  A folded term whose variables are all roots is blind: its
 table is an array with one axis per root, added by broadcasting over the
 block's (2,)*b energy array, which starts at the offset, after slicing it
 at the block's high roots.  A term that touches a forced variable is
-gathered: the ints are unpacked into a uint8 value matrix, one row per
-variable in id order and one column per mask, and the gathered terms,
-stacked by arity, each add one gather-and-sum to the energy vector.
-Energies are summed in int64 when the largest possible sum stays below
-2**62, as Python ints otherwise.  The solvers unpack only the rows they
-read (`_unpacked`), and the ground-state readout only in blocks that reach
-the lowest energy so far.  One reducer, `_ground_matrix`, keeps the
-two lowest levels, the ground degeneracy and, on request, the ground
-columns; `spectrum` is its report, and the ground states come back as one
-dict each, built by difference from the sorted state before it
-(`_as_dicts`).
+gathered, and summed from the same ints: its table's minimum joins the
+offset, and each higher entry e of a table is one bitwise step run
+elementwise, over an array of the block's ints, for all the terms with
+that table; each term's result is the int of the masks that select e,
+and only the nonzero ones are unpacked and added, times e minus the
+minimum, to the energy vector.  Energies are summed in int64 when the
+largest possible sum stays below 2**62, as Python ints otherwise.  The
+solvers unpack only the rows they read (`_unpacked`), and the ground-state
+readout only in blocks that reach the lowest energy so far.  One reducer,
+`_ground_matrix`, keeps the two lowest levels, the ground degeneracy and,
+on request, the ground columns; `spectrum` is its report, and the ground
+states come back as one dict each, built by difference from the sorted
+state before it (`_as_dicts`).
 """
 
 from __future__ import annotations
@@ -322,9 +324,9 @@ def _check_maps(maps: np.ndarray) -> None:
         raise ModelError("placement maps two variables to one")
 
 
-def _stamp(blocks: _Blocks, which, maps: np.ndarray) -> _Blocks:
-    """Copy i of block which[i] renamed through map row maps[i]; the
-    copies, in order, are the result's blocks.
+def _stamp(blocks: _Blocks, which, maps: np.ndarray) -> tuple[_Rows, Plan]:
+    """The (term rows, forcings) of copy i of block which[i] renamed
+    through map row maps[i], copy after copy.
 
     A map row lists the id of each slot and ends in -1, which the -1 pads
     index; each map row must be injective.  All copies' terms are one fancy
@@ -342,12 +344,11 @@ def _stamp(blocks: _Blocks, which, maps: np.ndarray) -> _Blocks:
         picks = np.arange(len(copy)) + (cut[which] + sizes - ends)[copy]
         placed = _Rows(maps[copy[:, None], rows.vars[picks]], rows.arity[picks], rows.tidx[picks],
                        rows.tables)
-        return placed, picks, copy, np.concatenate(([0], ends))
+        return placed, picks, copy
 
-    rows, _, _, row_cut = copies(blocks.rows, blocks.row_cut)
-    args, picks, copy, forcing_cut = copies(blocks.forcings.args, blocks.forcing_cut)
-    forcings = Plan._of(maps[copy, blocks.forcings.var[picks]], args)
-    return _Blocks(rows, forcings, row_cut, forcing_cut)
+    rows = copies(blocks.rows, blocks.row_cut)[0]
+    args, picks, copy = copies(blocks.forcings.args, blocks.forcing_cut)
+    return rows, Plan._of(maps[copy, blocks.forcings.var[picks]], args)
 
 
 def _slot_blocks(parts) -> _Blocks:
@@ -572,8 +573,11 @@ def _integer_terms(model: EnergyModel):
     `denom` is the least common denominator of every table entry; each
     distinct table is scaled once.  A term touching a clamp keeps its free
     variables, in order, and the entries its clamped bits select (folded
-    once per distinct table and clamp pattern); a term the clamps fix
-    entirely adds its one entry to the integer `offset` instead.
+    once per distinct table and clamp pattern, in order of first use); a
+    term the clamps fix entirely adds its one entry to the integer `offset`
+    instead.  The clamp patterns, the free variables and the offset are
+    computed for all terms at once; a dict numbers the distinct (table,
+    clamp pattern) keys, and only those are folded one by one.
     """
     terms = model._terms
     denoms = {e.denominator for table in terms.tables for e in table}
@@ -588,35 +592,35 @@ def _integer_terms(model: EnergyModel):
     # each row's clamp bit, -1 when free, and a last -1 that the pads read
     bit = np.full(len(ids) + 1, -1, dtype=np.int64)
     bit[_row_of(ids, np.array(list(clamps), dtype=np.int64))] = list(clamps.values())
-    touched = np.flatnonzero((bit[_row_of(ids, terms.vars)] >= 0).any(axis=1))
+    at = bit[_row_of(ids, terms.vars)]
+    touched = np.flatnonzero((at >= 0).any(axis=1))
     if not len(touched):
         return denom, 0, terms._replace(tables=tables)
-    # each touched term keeps its free variables; its table is folded once
-    # per distinct (table, clamped positions, clamped bits)
-    folds: dict[tuple[int, int, int], int] = {}
-    offset, free, index = 0, [], []
-    for row, k, t in zip(*(c[touched].tolist() for c in (terms.vars, terms.arity, terms.tidx))):
-        mask = bits = 0
-        for j, v in enumerate(row[:k]):
-            if v in clamps:
-                mask |= 1 << j
-                bits |= clamps[v] << j
-        i = folds.get((t, mask, bits))
-        if i is None:
-            keep = [j for j in range(k) if not mask >> j & 1]
-            i = folds[t, mask, bits] = len(tables)
-            tables += (tuple(
-                scaled[t][bits | sum((x >> a & 1) << j for a, j in enumerate(keep))]
-                for x in range(1 << len(keep))
-            ),)
-        free.append([v for v in row[:k] if v not in clamps])
-        index.append(i)
-        if not free[-1]:
-            offset += tables[i][0]
+    # each touched term's key: its table, clamped positions and clamped bits
+    at = at[touched]
+    on = at >= 0
+    weights = 1 << np.arange(K_MAX)
+    mask, bits = on @ weights, (at == 1) @ weights
+    # each distinct key is folded once, appended in order of first use
+    fold: dict[tuple[int, int, int], int] = {}
+    index = [fold.setdefault(key, len(fold))
+             for key in zip(*(c.tolist() for c in (terms.tidx[touched], mask, bits)))]
+    for t, m, b in fold:
+        keep = [j for j in range(len(scaled[t]).bit_length() - 1) if not m >> j & 1]
+        tables += (tuple(
+            scaled[t][b | sum((x >> a & 1) << j for a, j in enumerate(keep))]
+            for x in range(1 << len(keep))
+        ),)
+    index = len(scaled) + np.array(index, dtype=np.intp)
+    # the free variables, in order, moved to the front of each row
+    free = (terms.vars[touched] >= 0) & ~on
+    left = free.sum(axis=1)
+    moved = _padded(terms.vars[touched][free], left)
+    # a term the clamps fix entirely adds its one entry to the offset
+    fixed = np.bincount(index[left == 0], minlength=len(tables)).tolist()
+    offset = sum(n * table[0] for n, table in zip(fixed, tables) if n)
     vars_, arity, tidx = terms.vars.copy(), terms.arity.copy(), terms.tidx.copy()
-    arity[touched] = [len(f) for f in free]
-    vars_[touched] = _padded([v for f in free for v in f], arity[touched])
-    tidx[touched] = index
+    vars_[touched], arity[touched], tidx[touched] = moved, left, index
     kept = arity > 0
     return denom, offset, _Rows(vars_[kept], arity[kept], tidx[kept], tables)
 
@@ -642,8 +646,11 @@ def _scan(model: EnergyModel, plan: Plan | None, cap: int):
 
     Every block is bit-sliced the same way: roots are fixed bit patterns,
     clamps 0 or all ones, and each forcing, if there is a plan, is a few
-    bitwise operations on its arguments' ints (`_forcing_steps`).  Only
-    gathered terms unpack the rows into a value matrix, once per block.
+    bitwise operations on its arguments' ints (`_forcing_steps`).  Gathered
+    terms are summed from the same ints: the block's ints become one array
+    of words (uint64 for blocks of up to 64 masks, Python ints otherwise),
+    each group of `_term_groups` runs its step elementwise over all of its
+    terms, and only the nonzero hits are unpacked and counted per mask.
     """
     ids = np.sort(model._ids)
     n = len(ids)
@@ -673,17 +680,17 @@ def _scan(model: EnergyModel, plan: Plan | None, cap: int):
         )
     steps, checks = _forcing_steps(plan, ids, root_rows, clamped, clamp_at) if plan else ((), [])
     denom, offset, terms = _integer_terms(model)
-    energy_dtype, gathered, blind = _term_groups(terms, ids, offset, root_rows)
+    energy_dtype, offset, gathered, blind = _term_groups(terms, ids, offset, root_rows)
 
     # Blocks are aligned runs of 2**b masks: the low b roots vary within a
-    # block and the high roots are fixed by its number.  Gathered terms
-    # unpack a value matrix per block; without them a block keeps only its
-    # energy vector and its consumers' temporaries.
-    per_mask = 32 + 2 * energy_dtype.itemsize
-    if gathered:
-        per_mask = n + 32 + max((2 + energy_dtype.itemsize) * len(g[1]) for g in gathered)
+    # block and the high roots are fixed by its number.  Besides its energy
+    # vector and its consumers' temporaries, a block unpacks n rows for the
+    # readout, or the hits of a group's terms, whichever is wider.
+    widest = max((len(args[0]) for _, _, args in gathered), default=0)
+    per_mask = 32 + 2 * energy_dtype.itemsize + max(n, widest)
     b = min(len(roots), max(1, _BLOCK_BYTES // per_mask).bit_length() - 1)
     size = 1 << b
+    word = np.uint64 if size <= 64 else object
     addends = [_block_addend(key, table, b) for key, table in blind.items()]
     # A block holds one int per value-matrix row, one per clamped forcing
     # (`checks`) and last `full`, with every mask's bit set.  Clamps are 0
@@ -718,10 +725,12 @@ def _scan(model: EnergyModel, plan: Plan | None, cap: int):
                     hi = hi << 1 | (number >> shift) & 1
                 energy += tables[hi]
             energy = energy.reshape(-1)
-            if gathered:
-                vals = _unpacked(v[:n], size)
-                for arg_cols, tables in gathered:
-                    energy += _gather(tables, vals, arg_cols).sum(axis=0)
+            words = np.array(v, dtype=word) if gathered else None
+            for weight, step, args in gathered:
+                hits = step(words, args)
+                hits = hits[hits != 0]
+                if len(hits):
+                    energy += weight * _unpacked(hits, size).sum(axis=0, dtype=energy_dtype)
             yield v[:n], alive, energy
 
     return denom, list(clamps) + roots + forced, blocks()
@@ -767,23 +776,12 @@ def _root_patterns(b):
     return tuple(low)
 
 
-def _gather(tables, vals, arg_cols):
-    """Look up each stacked table at its args' little-endian index, per mask.
-
-    `arg_cols[j]` holds the value-matrix row of argument j of every table;
-    the result has one row per table and one column per mask.
-    """
-    idx = np.zeros((len(tables), vals.shape[1]), dtype=np.uint8)
-    for j, cols in enumerate(arg_cols):
-        idx |= vals[cols] << j
-    return np.take_along_axis(tables, idx, axis=1)
-
-
 @lru_cache(maxsize=1024)
 def _bitsliced(table: tuple):
     """`step(v, a)`: the 0/1 `table` applied bitwise to the ints v[a[0]],
     v[a[1]], ... (argument j is bit j of the table index); v[-1] is the
-    int with every mask's bit set.
+    int with every mask's bit set.  Over an array v of words and arrays
+    a[j] of rows, the same step runs elementwise, one result per row.
 
     The expression is an OR of the minterms of the table's ones or, when
     its zeros are fewer, an AND of the clauses that rule out each zero.
@@ -860,19 +858,26 @@ def _row_of(ids, vals):
 
 
 def _term_groups(terms: _Rows, ids, offset, root_rows):
-    """Split the integer terms of `_integer_terms`: (dtype, gathered, blind).
+    """Split the integer terms of `_integer_terms`: (dtype, offset,
+    gathered, blind).
 
     A term whose variables are all roots is blind: it becomes an array over
     its roots (`_root_table`), and the blind terms over one set of roots
     are summed into one array, keyed by those roots in descending order.
-    The other terms are gathered: stacked by arity as (arg rows per
-    position, tables) for `_gather`.  `ids` are the model's ids in
-    value-matrix (id) order and `root_rows` the roots' rows.  The split is
-    one vectorized test, so a scan whose every term touches a forced
-    variable pays no Python work per term.
+    The other terms are gathered, grouped by table: each term adds its
+    table's minimum to the returned offset, and each entry e above the
+    minimum becomes one group (e - minimum, step, args).  `step` is the 0/1
+    table [entry == e] as bitwise operations (`_bitsliced`) and `args[j]`
+    holds the value-matrix row of argument j of every term with the table,
+    so one step over a block's words gives each term's hits on e as one
+    int.  `ids` are the model's ids in value-matrix (id) order and
+    `root_rows` the roots' rows.  The split is one vectorized test, so a
+    scan pays Python work per distinct table entry, not per term.
 
     Energies are summed in int64 when no sum of the offset and one entry
     per term can reach 2**62, and as Python ints (dtype object) otherwise.
+    Every partial sum of a scan is such a sum: the blind entries and the
+    minima come first, then the weights, all positive, up to the energy.
     """
     tables, tidx, arity = terms.tables, terms.tidx, terms.arity
     uses = np.bincount(tidx, minlength=len(tables)).tolist()
@@ -894,14 +899,19 @@ def _term_groups(terms: _Rows, ids, offset, root_rows):
         else:
             blind[key] = table
     gathered = []
-    for k in sorted(set(arity[~is_blind].tolist())):
-        sel = np.flatnonzero(~is_blind & (arity == k))
-        used = sorted(set(tidx[sel].tolist()))
-        stack_row = np.zeros(len(tables), dtype=np.intp)
-        stack_row[used] = np.arange(len(used))
-        stack = np.array([tables[i] for i in used], dtype=dtype)
-        gathered.append(([rows[sel, j] for j in range(k)], stack[stack_row[tidx[sel]]]))
-    return dtype, gathered, blind
+    sel = np.flatnonzero(~is_blind)
+    if not len(sel):
+        return dtype, offset, gathered, blind
+    sel = sel[np.argsort(tidx[sel], kind="stable")]
+    used, counts = np.unique(tidx[sel], return_counts=True)
+    for t, members in zip(used.tolist(), np.split(sel, np.cumsum(counts)[:-1])):
+        table = tables[t]
+        low = min(table)
+        offset += low * len(members)
+        args = [rows[members, j] for j in range(len(table).bit_length() - 1)]
+        for e in sorted(set(table) - {low}):
+            gathered.append((e - low, _bitsliced(tuple(int(x == e) for x in table)), args))
+    return dtype, offset, gathered, blind
 
 
 def _root_table(table, roots):

@@ -227,11 +227,11 @@ class _GateGadgets:
                 edc = False
             else:
                 base_ground += n * g.ground_table[0]
-        placed = _stamp(self.blocks(), which, maps)
+        rows, forcings = _stamp(self.blocks(), which, maps)
         return Network(
-            model=_build(np.arange(len(labels), dtype=np.int64), roles, labels, placed.rows),
+            model=_build(np.arange(len(labels), dtype=np.int64), roles, labels, rows),
             elements=ComplexityReport(dict(counts)),
-            forcings=placed.forcings,
+            forcings=forcings,
             penalty_floor=min((g.penalty_floor for g, _ in uses), default=self.penalty),
             base_ground=base_ground,
             edc=edc,

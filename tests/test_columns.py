@@ -212,16 +212,16 @@ def test_stamp_renames_terms_and_forcings_and_shares_tables():
     blocks = gl.model._slot_blocks([(model, gl.model.Plan()), (g.fragment, g.forcings),
                                     (chain.fragment, chain.forcings)])
     maps = gl.model._map_array([[100 + 7 * v for v in range(6)], [3, 4, 5]])
-    placed = gl.model._stamp(blocks, [0, 1], maps)
+    rows, forcings = gl.model._stamp(blocks, [0, 1], maps)
     built = [gl.EnergyTerm(tuple(100 + 7 * v for v in t.vars), t.table) for t in model.terms]
     built.append(gl.EnergyTerm((3, 4, 5), g.fragment.terms[0].table))
-    copies = terms_of(placed.rows)
+    copies = terms_of(rows)
     assert list(copies) == built
     assert [hash(c) for c in copies] == [hash(b) for b in built]
     for copy, t in zip(copies, model.terms + g.fragment.terms):
         assert type(copy.vars) is tuple and copy.table is t.table
-    assert tuple(placed.forcings) == (gl.Forcing(5, (3, 4), gl.AND2.outputs),)
-    assert type(next(iter(placed.forcings))) is gl.Forcing
+    assert tuple(forcings) == (gl.Forcing(5, (3, 4), gl.AND2.outputs),)
+    assert type(next(iter(forcings))) is gl.Forcing
     # two slots on one id, within one term and across the chain's two terms
     for which, row in ((1, [3, 3, 4]), (2, [5, 6, 5])):
         with pytest.raises(gl.ModelError, match="maps two variables to one"):

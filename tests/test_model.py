@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import groundlogic as gl
-from util import random_model, reference_anneal
+from util import FLIPPER, TWO_STATE, random_model, reference_anneal, reference_integer_terms
 
 WIRE = gl.EnergyTerm((0, 1), (0, 1, 1, 0))
 
@@ -403,13 +403,52 @@ def test_one_table_under_different_clamp_patterns():
         assert clamped.ground_states() == gl.enumerate_ground_states(clamped.model)
 
 
+def _same_integer_terms(m):
+    got = gl.model._integer_terms(m)
+    want = reference_integer_terms(m)
+    assert got[:2] == want[:2]
+    assert got[2].tables == want[2].tables
+    for column, expected in zip(got[2][:3], want[2][:3]):
+        assert np.array_equal(column, expected)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(scan_models())
+def test_integer_terms_match_term_by_term_fold(m):
+    _same_integer_terms(m)
+
+
+# a little-endian binary increment that halts once the carry is absorbed
+INCREMENT = gl.DtmSpec(
+    ("carry", "done"), "carry", frozenset({"done"}),
+    {("carry", 1): ("carry", 0, "U"), ("carry", 0): ("done", 1, "U")},
+)
+
+
+@pytest.mark.parametrize("machine, p, policy", [
+    ("flipper", 6, "penalty"), ("flipper", 4, "edc-symmetrized"),
+    ("two-state", 4, "penalty"), ("two-state", 2, "edc-symmetrized"),
+    ("increment", 4, "penalty"), ("increment", 2, "edc-symmetrized"),
+])
+def test_integer_terms_of_free_row_lattices_match_term_by_term_fold(machine, p, policy):
+    # the lattices that perfbench's dtm-verify checks: thousands of terms
+    # folded under a few clamp patterns of the boundary buses
+    dtm = {"flipper": FLIPPER, "two-state": TWO_STATE, "increment": INCREMENT}[machine]
+    for head in sorted({1, p}):
+        _same_integer_terms(gl.build_lattice(dtm, p, head, policy=policy).network.model)
+
+
 def _forcing_plan(rng):
     """A small model with a random topological plan: 0/1 tables of arity
     1-4 (constants and XOR among them) and one of arity 8, each reading
     earlier variables; some forced variables are clamped, so some plans
-    leave no mask alive.  Ids are spaced out on some draws."""
+    leave no mask alive.  Ids are spaced out on some draws.  Seven roots
+    give 128 masks, past one 64-bit word.  Energy tables are random, or
+    one low entry under a repeated higher one, so that a table's minimum
+    is not its most common entry; some draws scale them by 2**62, which
+    sums in Python ints."""
     stride = rng.choice((1, 3))
-    n_roots = rng.randint(0, 4)
+    n_roots = rng.choice((0, 1, 2, 3, 4, 7))
     clamps = {}
     known = []  # roots, clamps and forced variables, in the order they are set
     for v in range(n_roots + rng.randint(0 if n_roots else 1, 2)):
@@ -428,11 +467,16 @@ def _forcing_plan(rng):
             clamps[var] = rng.randint(0, 1)
         forcings.append(gl.Forcing(var, tuple(rng.sample(known, k)), table))
         known.append(var)
+    scale = rng.choice((1, 1 << 62))
     terms = []
     for _ in range(rng.randint(1, 6)):
         vars_ = rng.sample(known, rng.randint(1, 3))
         table = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(1 << len(vars_))]
-        terms.append(gl.EnergyTerm(tuple(vars_), tuple(table)))
+        if rng.random() < 0.5:
+            low, high = sorted(rng.sample(range(-3, 4), 2))
+            table = [Fraction(high)] * len(table)
+            table[rng.randrange(len(table))] = Fraction(low)
+        terms.append(gl.EnergyTerm(tuple(vars_), tuple(e * scale for e in table)))
     model = gl.EnergyModel(tuple(gl.Variable(v) for v in known), tuple(terms), clamps)
     return model, gl.model.Plan(forcings)
 
@@ -483,7 +527,8 @@ def test_unpacked_rows_match_a_bit_loop(size):
 def test_ground_matrix_of_arbitrary_forcing_tables_matches_plain_loop(rng):
     m, plan = _forcing_plan(rng)
     expected = _plain_ground_matrix(m, plan)
-    # one mask per block, a few masks per block, and the default
+    # one mask per block; up to 64 masks per block, one uint64 word each;
+    # and the default, which holds 128 masks, Python ints, on seven roots
     for budget in (1, 5000, gl.model._BLOCK_BYTES):
         with mock.patch.object(gl.model, "_BLOCK_BYTES", budget):
             got = gl.model._ground_matrix(m, plan, gl.model.DEFAULT_CAP)

@@ -109,6 +109,50 @@ def terms_of(rows) -> tuple:
     )
 
 
+def reference_integer_terms(model: gl.EnergyModel):
+    """Oracle for `model._integer_terms`: the clamps folded term by term,
+    each distinct (table, clamped positions, clamped bits) once, in order
+    of first use.  Returns (denom, offset, term rows)."""
+    terms = model._terms
+    denoms = {e.denominator for table in terms.tables for e in table}
+    denom = math.lcm(*denoms)
+    scaled = [tuple(e.numerator * (denom // e.denominator) for e in table)
+              for table in terms.tables]
+    tables = tuple(scaled)
+    clamps = model.clamps
+    folds = {}
+    offset, vars_, arity, tidx = 0, [], [], []
+    for row, k, t in zip(terms.vars.tolist(), terms.arity.tolist(), terms.tidx.tolist()):
+        mask = bits = 0
+        for j, v in enumerate(row[:k]):
+            if v in clamps:
+                mask |= 1 << j
+                bits |= clamps[v] << j
+        if not mask:
+            vars_.append(row)
+            arity.append(k)
+            tidx.append(t)
+            continue
+        i = folds.get((t, mask, bits))
+        if i is None:
+            keep = [j for j in range(k) if not mask >> j & 1]
+            i = folds[t, mask, bits] = len(tables)
+            tables += (tuple(
+                scaled[t][bits | sum((x >> a & 1) << j for a, j in enumerate(keep))]
+                for x in range(1 << len(keep))
+            ),)
+        free = [v for v in row[:k] if v not in clamps]
+        if free:
+            vars_.append(free + [-1] * (gl.K_MAX - len(free)))
+            arity.append(len(free))
+            tidx.append(i)
+        else:
+            offset += tables[i][0]
+    rows = gl.model._Rows(np.array(vars_, dtype=np.int64).reshape(-1, gl.K_MAX),
+                          np.array(arity, dtype=np.int64), np.array(tidx, dtype=np.intp), tables)
+    return denom, offset, rows
+
+
 def extend_by_forcings(inputs_assignment: dict[int, int], forcings) -> dict[int, int]:
     """Oracle: apply forcing rules one at a time, in order, to a dict."""
     a = dict(inputs_assignment)
