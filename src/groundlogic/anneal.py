@@ -20,13 +20,15 @@ term's current table index and every free variable's local field, the exact
 integer energy change of flipping it; only an accepted flip walks the terms
 touching the variable, XORing its bit into each term's index and moving
 every member's field by the difference of two entries of that member's flip
-table.  Acceptance probabilities are cached by dE within a sweep.  The
-random values are numpy's own: `_decode_block` turns a block of the Philox
-generator's raw 64-bit words into plain lists (Lemire's position from each
-low and each high 32-bit half, -1 where it rejects, and the uniform double),
-and the loop reads them with one word pointer and a kept high half, exactly
-as `Generator.integers(n)` and `Generator.random()` consume the words.  So
-trajectories do not depend on how the values are fetched.
+table.  Acceptance probabilities are cached by dE within a sweep.
+
+Each restart draws from two numpy Generators on Philox streams: its own,
+which draws the initial state and then every proposal's position with
+`integers(0, nfree)`, and one spawned from its seed, which draws one
+`random()` uniform per proposal, read only on an uphill move.  Both are
+drawn whole sweeps at a time; numpy returns the same values however a
+stream is split into calls, so a trajectory depends only on (model,
+schedule, seed).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
@@ -63,6 +66,8 @@ class AnnealSchedule:
     def __post_init__(self):
         if not self.t_start >= self.t_end > 0:
             raise ModelError("need t_start >= t_end > 0")
+        if not math.isfinite(self.t_start):
+            raise ModelError("temperatures must be finite")
         if self.sweeps < 1:
             raise ModelError("need at least one sweep")
         if self.restarts < 1:
@@ -104,55 +109,9 @@ class AnnealResult:
     uphill_accepts: int = 0
 
 
-# Raw 64-bit words decoded per block: one bounded buffer, whatever the
-# number of free variables.
-_RAW_BLOCK = 1024
-_UNIT = 2.0**-53
-_LOW = np.uint64(0xFFFFFFFF)
-_HALF = np.uint64(32)
-_MANTISSA_SHIFT = np.uint64(11)
-
-
-def _positions(halves, n: int) -> list[int]:
-    """Lemire's draw below n from each 32-bit value in `halves` (uint64),
-    or -1 where it rejects the value."""
-    m = halves * np.uint64(n)
-    positions = (m >> _HALF).astype(np.int64)
-    positions[(m & _LOW) < np.uint64(((1 << 32) - n) % n)] = -1
-    return positions.tolist()
-
-
-def _decode_block(bitgen, n: int):
-    """The next `_RAW_BLOCK` raw words of `bitgen`, decoded into the values
-    numpy would make of them: (positions below n from each word's low
-    32-bit half, the same from its high half, uniform doubles).
-
-    numpy draws an integer below n <= 2**32 from 32-bit halves of the raw
-    64-bit words, low half first with the high half kept for the next such
-    draw, by Lemire's multiply-and-reject ("Fast random integer generation
-    in an interval", ACM TOMACS 2019); a rejected half reads -1 here and
-    the draw takes the next half; n == 1 draws nothing, so no position is
-    read then.  A uniform double is the top 53 bits of a fresh word and
-    leaves a kept half in place.  Words decoded ahead are lost to the
-    generator, so it must not be drawn from afterwards.
-    """
-    if n > 1 << 32:
-        raise ModelError(f"cannot draw positions below {n} > 2**32")
-    words = bitgen.random_raw(_RAW_BLOCK)
-    return (
-        _positions(words & _LOW, n),
-        _positions(words >> _HALF, n),
-        ((words >> _MANTISSA_SHIFT) * _UNIT).tolist(),
-    )
-
-
-def _kept_position(bitgen, n: int) -> int | None:
-    """The position below n (or -1) from the 32-bit half `bitgen` kept from
-    its last 32-bit draw, or None when it kept none."""
-    state = bitgen.state
-    if not state["has_uint32"]:
-        return None
-    return _positions(np.array([state["uinteger"]], dtype=np.uint64), n)[0]
+# About this many positions, and as many uniforms, per numpy call: both
+# are drawn whole sweeps at a time, at least one sweep per call.
+_DRAWS = 1024
 
 
 def metropolis_anneal(
@@ -204,6 +163,7 @@ def metropolis_anneal(
 
     exp = math.exp
     streams = np.random.SeedSequence(sched.seed).spawn(sched.restarts)
+    sweeps_per_call = max(1, _DRAWS // nfree)
     results: list[RestartResult] = []
     best_energy_int = None
     best_state = None
@@ -211,11 +171,8 @@ def metropolis_anneal(
     uphill_accepts = 0
     for child in streams:
         rng = np.random.Generator(np.random.Philox(child))
+        coins = np.random.Generator(np.random.Philox(child.spawn(1)[0]))
         state = [int(b) for b in rng.integers(0, 2, size=nfree)]
-        bitgen = rng.bit_generator
-        kept = _kept_position(bitgen, nfree)
-        lows, highs, uniforms = _decode_block(bitgen, nfree)
-        word = 0
         index = [sum(state[p] << j for j, p in enumerate(positions)) for positions, _ in terms]
         # field[p]: the exact energy change of flipping p
         field = [0] * nfree
@@ -227,37 +184,18 @@ def metropolis_anneal(
         local_best_state = list(state)
         first_hit = 0 if target_int is not None and energy <= target_int else None
         for sweep in range(1, sched.sweeps + 1):
+            if (sweep - 1) % sweeps_per_call == 0:
+                size = min(sweeps_per_call, sched.sweeps - sweep + 1) * nfree
+                draws = zip(rng.integers(0, nfree, size=size).tolist(), coins.random(size).tolist())
             temp = sched.temperature(sweep - 1)
             # acceptance probability by dE at this sweep's temperature
             accept_at: dict[int, float] = {}
-            for _ in range(nfree):
-                if nfree == 1:
-                    # numpy draws nothing for a position below 1
-                    pos = 0
-                else:
-                    while True:
-                        if kept is None:
-                            if word == _RAW_BLOCK:
-                                lows, highs, uniforms = _decode_block(bitgen, nfree)
-                                word = 0
-                            pos = lows[word]
-                            kept = highs[word]
-                            word += 1
-                        else:
-                            pos = kept
-                            kept = None
-                        if pos >= 0:
-                            break
+            for pos, uniform in islice(draws, nfree):
                 delta = field[pos]
                 if delta <= 0:
                     accept = True
                 else:
                     uphill_attempts += 1
-                    if word == _RAW_BLOCK:
-                        lows, highs, uniforms = _decode_block(bitgen, nfree)
-                        word = 0
-                    uniform = uniforms[word]
-                    word += 1
                     p = accept_at.get(delta)
                     if p is None:
                         try:

@@ -106,8 +106,10 @@ class Network:
         return replace(self, model=self.model.with_clamps(clamps))
 
     def with_bias_term(self, term: EnergyTerm, budget: Fraction, **records) -> "Network":
-        if min(term.table) != 0 or budget != max(term.table):
+        if min(term.table) != 0:
             raise ModelError("bias terms must have minimum 0")
+        if budget != max(term.table):
+            raise ModelError(f"bias budget {budget} is not the term's maximum {max(term.table)}")
         return replace(
             self,
             model=self.model.with_terms((term,)),

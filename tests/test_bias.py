@@ -19,6 +19,18 @@ def test_attach_dedlu_requires_declared_output():
         gl.attach_dedlu(net, "sat", 0)
 
 
+def test_bias_term_needs_minimum_0_and_its_maximum_as_budget():
+    net = sat_network(gl.Cnf(1, ((1,),)))
+    var = net.port_map["sat"]
+    with pytest.raises(gl.ModelError, match="minimum 0"):
+        net.with_bias_term(gl.EnergyTerm((var,), (Fraction(1), Fraction(2))), Fraction(2))
+    with pytest.raises(gl.ModelError, match="bias budget 1 is not the term's maximum 2"):
+        net.with_bias_term(gl.EnergyTerm((var,), (Fraction(0), Fraction(2))), Fraction(1))
+    biased = net.with_bias_term(gl.EnergyTerm((var,), (Fraction(2), Fraction(0))), Fraction(2))
+    assert biased.bias_budget == net.bias_budget + 2
+    assert len(biased.model.terms) == len(net.model.terms) + 1
+
+
 def test_dedlu_selects_satisfying_assignments():
     rng = random.Random(51)
     for _ in range(5):

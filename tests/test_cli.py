@@ -295,7 +295,7 @@ FLIPPER_SPEC = "STATE q\nSTART q\nDELTA q 0 -> q 1 U\nDELTA q 1 -> q 0 U\n"
 
 
 @pytest.mark.parametrize("case", ["dtm-out", "anneal-overflow", "anneal-all-clamped",
-                                  "anneal-negative-seed"])
+                                  "anneal-negative-seed", "anneal-infinite-start"])
 def test_failing_command_leaves_stdout_empty(tmp_path, capsys, case):
     # on exit 1 no partial report reaches stdout, and stderr holds one error line
     if case == "dtm-out":
@@ -308,10 +308,13 @@ def test_failing_command_leaves_stdout_empty(tmp_path, capsys, case):
             "anneal-overflow": "VAR 0 wire\nVAR 1 wire\nTERM 2 0 1 : 0 1e400 1e400 0\n",
             "anneal-all-clamped": "VAR 0 wire\nCLAMP 0 1\nTERM 1 0 : 0 1\n",
             "anneal-negative-seed": "VAR 0 wire\nTERM 1 0 : 0 1\n",
+            "anneal-infinite-start": "VAR 0 wire\nTERM 1 0 : 0 1\n",
         }[case])
         argv = ["solve", str(dump), "--method", "anneal", "--sweeps", "5", "--out", str(tmp_path / "r.csv")]
         if case == "anneal-negative-seed":
             argv += ["--seed", "-1"]
+        if case == "anneal-infinite-start":
+            argv += ["--t-start", "inf"]
     code, stdout, stderr = run(capsys, *argv)
     assert code == 1 and stdout == ""
     assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")

@@ -176,8 +176,9 @@ def head_bus_codes(lattice: gl.Lattice, assignment: dict[int, int], i: int, j: i
 
 def reference_anneal(model: gl.EnergyModel, sched: gl.AnnealSchedule, target=None) -> gl.AnnealResult:
     """Oracle for `metropolis_anneal`: the same dynamics, drawing each
-    position with `rng.integers(nfree)` and each uphill test with
-    `rng.random()`, and recomputing dE in exact Fractions from the tables of
+    position with `rng.integers(nfree)` and one `coins.random()` per
+    proposal from a generator spawned from the restart's seed, read only
+    when dE > 0, and recomputing dE in exact Fractions from the tables of
     the terms that touch the flipped variable."""
     free = model.free_vars
     touching = {v: [t for t in model.terms if v in t.vars] for v in free}
@@ -187,6 +188,7 @@ def reference_anneal(model: gl.EnergyModel, sched: gl.AnnealSchedule, target=Non
     attempts = accepts = 0
     for child in np.random.SeedSequence(sched.seed).spawn(sched.restarts):
         rng = np.random.Generator(np.random.Philox(child))
+        coins = np.random.Generator(np.random.Philox(child.spawn(1)[0]))
         state = dict(model.clamps)
         state.update(zip(free, (int(b) for b in rng.integers(0, 2, size=len(free)))))
         energy = local_best = gl.total_energy(model, state)
@@ -196,12 +198,13 @@ def reference_anneal(model: gl.EnergyModel, sched: gl.AnnealSchedule, target=Non
             temp = sched.temperature(sweep - 1)
             for _ in range(len(free)):
                 v = free[int(rng.integers(len(free)))]
+                uniform = coins.random()
                 before = sum(t.energy(state) for t in touching[v])
                 state[v] ^= 1
                 delta = sum(t.energy(state) for t in touching[v]) - before
                 if delta > 0:
                     attempts += 1
-                    if rng.random() < math.exp(-float(delta) / temp):
+                    if uniform < math.exp(-float(delta) / temp):
                         accepts += 1
                     else:
                         state[v] ^= 1
