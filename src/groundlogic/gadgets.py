@@ -32,7 +32,7 @@ from .model import (
     ModelError,
     Plan,
     Variable,
-    _build,
+    _assemble,
     _concat,
     _rows_of,
     _scan,
@@ -343,11 +343,12 @@ def symmetrize(g: Gadget, inverter_penalty=None) -> Gadget:
         labels += [f"c{s}.y"] + [f"c{s}.{a}" for a in g.ancillae]
         roles += ["output" if s == 0 else "ancilla"] + ["ancilla"] * A
         ancillae += row if s else row[1:]
-    fragment = _build(
+    fragment = _assemble(
         np.arange(len(labels), dtype=np.int64),
         np.array([_ROLE_CODE[r] for r in roles], dtype=np.int8),
         labels,
         _concat([inverters, rows]),
+        {},
     )
     counts = {k: v << n for k, v in g.counts.items()}
     counts["inverter"] = counts.get("inverter", 0) + n

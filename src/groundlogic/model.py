@@ -30,17 +30,18 @@ into a tuple of the distinct Fraction tables.  Variables are an id array,
 role codes into ROLES and a label list; a forcing plan (`Plan`) is an array
 of forced variables beside `_Rows` of their arguments and 0/1 tables.
 `.variables`, `.terms` and iterating a `Plan` build the objects on demand;
-the library reads only the columns.  The checking constructor, `_build`,
-checks its columns in bulk (`_check`): declared ids by a sorted search,
-distinct ids per row by sorting along the rows, and table lengths; then it
-assembles the model (`_assemble`).  `with_terms` and `with_clamps` check
-only what they add.  The dump reader (`parse_statements`) is one pass that
-checks each line against the lines before it, raises at the first defect,
-and writes the rows straight into the columns; by then it has made every
-check of `_check`, so it assembles the model without them.  Gadget
-copies, in netlists, lattices and the symmetrizer alike, are placed by
-`_stamp`: one fancy index of the gadgets' columns, over slots, through one
-slot-to-id map row per copy.
+the library reads only the columns.  Each fact is checked once, where it
+enters: `Variable` and `EnergyTerm` check their own fields, and the
+`EnergyModel` constructor, with sets, what no single object can see
+(duplicate ids, terms and clamps on undeclared ids, clamp values);
+`with_terms` and `with_clamps` check what they add.  The dump reader
+(`parse_statements`) is one pass that checks each line against the lines
+before it, raises at the first defect, and writes the rows straight into
+the columns.  Stamped models hold by construction and are assembled
+unchecked (`_assemble`): gadget copies, in netlists, lattices and the
+symmetrizer alike, are placed by `_stamp`, one fancy index of the
+gadgets' columns, over slots, through one injective slot-to-id map row
+per copy, onto ids 0..n-1.
 
 Clamps are folded out once, in integers, by `_integer_terms`, for every
 solver: it scales each distinct table by the common denominator of all
@@ -255,12 +256,6 @@ def _concat(parts) -> _Rows:
                  np.concatenate(tidx), tables)
 
 
-def _repeats(rows: np.ndarray) -> np.ndarray:
-    """Per row: does a non-negative entry repeat?"""
-    srt = np.sort(rows, axis=1)
-    return ((srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] >= 0)).any(axis=1)
-
-
 class Plan:
     """A forcing plan in columns, in topological order: row i sets `var[i]`
     to its table at the little-endian index of its `args` row.  Built from
@@ -320,7 +315,8 @@ class _Blocks(NamedTuple):
 
 def _check_maps(maps: np.ndarray) -> None:
     """Raise ModelError unless each map row is injective on its ids."""
-    if _repeats(maps).any():
+    srt = np.sort(maps, axis=1)
+    if ((srt[:, 1:] == srt[:, :-1]) & (srt[:, 1:] >= 0)).any():
         raise ModelError("placement maps two variables to one")
 
 
@@ -385,57 +381,18 @@ def _undeclared(known, vals) -> np.ndarray:
     return known[p] != vals
 
 
-def _check(ids, terms=None, clamp_ids=_NO_IDS, clamp_bits=()):
-    """The bulk checks of `_build`: raise ModelError for the first fault, in
-    the order of the object constructors -- duplicate or negative ids, then
-    the terms, then the clamps."""
-    known = ids
-    if not (ids[1:] > ids[:-1]).all():  # else: no duplicates, already sorted
-        known = np.unique(ids)
-        if len(known) < len(ids):
-            raise ModelError("duplicate variable ids")
-    if len(ids) and known[0] < 0:
-        raise ModelError(f"variable id must be non-negative, got {ids[np.argmax(ids < 0)]}")
-
-    if terms is not None and len(terms.arity):
-        t = terms
-        missing = _undeclared(known, t.vars) & (np.arange(K_MAX) < t.arity[:, None])
-        repeated = _repeats(t.vars)
-        # each table's arity by its size (a power of two), else -1
-        arity_of = [n.bit_length() - 1 if n > 1 and n & (n - 1) == 0 else -1
-                    for n in map(len, t.tables)]
-        fits = np.array(arity_of, dtype=np.int64)[t.tidx] == t.arity
-        bad = missing.any(axis=1) | repeated | ~fits
-        if bad.any():
-            r = np.argmax(bad)
-            k = int(t.arity[r])
-            absent = sorted(set(t.vars[r][missing[r]].tolist()))
-            raise ModelError(
-                f"term references undeclared variables {absent}" if absent else
-                f"term variables must be distinct: {tuple(t.vars[r, :k].tolist())}"
-                if repeated[r] else
-                f"term arity {k} outside 1..{K_MAX}; decompose first" if k < 1 else
-                f"table for arity {k} needs {1 << k} entries, got {len(t.tables[t.tidx[r]])}")
-    if len(clamp_ids):
-        missing = _undeclared(known, clamp_ids)
-        off = np.array([b not in (0, 1) for b in clamp_bits], dtype=bool)
-        srt = np.argsort(clamp_ids, kind="stable")
-        again = np.zeros(len(clamp_ids), dtype=bool)
-        again[srt[1:][clamp_ids[srt][1:] == clamp_ids[srt][:-1]]] = True
-        bad = missing | off | again
-        if bad.any():
-            r = np.argmax(bad)
-            raise ModelError(f"clamp on undeclared variable {clamp_ids[r]}" if missing[r]
-                             else f"clamp value must be 0 or 1, got {clamp_bits[r]}" if off[r]
-                             else f"variable {clamp_ids[r]} is already clamped")
-
-
-def _build(ids, roles, labels, terms: _Rows, clamp_ids=_NO_IDS, clamp_bits=(),
-           model=None) -> "EnergyModel":
-    """The one checking constructor: a model from columns (`roles` are codes
-    into ROLES), checked by `_check`."""
-    _check(ids, terms, clamp_ids, clamp_bits)
-    return _assemble(ids, roles, labels, terms, dict(zip(clamp_ids.tolist(), clamp_bits)), model)
+def _check_refs(declared: set, terms, clamps: dict) -> None:
+    """Raise ModelError for the first term, then the first clamp, on an id
+    missing from `declared`, or for a clamp value other than 0 or 1."""
+    for t in terms:
+        if not declared.issuperset(t.vars):
+            absent = sorted({int(v) for v in t.vars} - declared)
+            raise ModelError(f"term references undeclared variables {absent}")
+    for v, b in clamps.items():
+        if v not in declared:
+            raise ModelError(f"clamp on undeclared variable {v}")
+        if b not in (0, 1):
+            raise ModelError(f"clamp value must be 0 or 1, got {b}")
 
 
 def _assemble(ids, roles, labels, terms: _Rows, clamps: dict, model=None) -> "EnergyModel":
@@ -458,13 +415,16 @@ class EnergyModel:
 
     def __init__(self, variables, terms=(), clamps=None):
         variables, terms, clamps = tuple(variables), tuple(terms), dict(clamps or {})
-        _build(
-            _ids([v.id for v in variables]),
-            np.array([_ROLE_CODE[v.role] for v in variables], dtype=np.int8),
-            [v.label for v in variables],
-            _rows_of([t.vars for t in terms], [t.table for t in terms]),
-            _ids(list(clamps)), list(clamps.values()), model=self,
-        )
+        ids = _ids([v.id for v in variables])
+        roles = np.array([_ROLE_CODE[v.role] for v in variables], dtype=np.int8)
+        rows = _rows_of([t.vars for t in terms], [t.table for t in terms])
+        clamps = dict(zip(_ids(list(clamps)).tolist(), clamps.values()))
+        declared = set(ids.tolist())
+        if len(declared) < len(ids):
+            raise ModelError("duplicate variable ids")
+        _check_refs(declared, terms, clamps)
+        _assemble(ids, roles, [v.label for v in variables], rows,
+                  {v: int(b) for v, b in clamps.items()}, self)
 
     @property
     def variables(self) -> tuple[Variable, ...]:
@@ -525,14 +485,15 @@ class EnergyModel:
         """A copy with `extra` terms appended; only those are checked."""
         extra = tuple(extra)
         rows = _rows_of([t.vars for t in extra], [t.table for t in extra])
-        _check(self._ids, rows)
+        _check_refs(set(self._ids.tolist()), extra, {})
         return self._copy(_concat([self._terms, rows]), dict(self.clamps))
 
     def with_clamps(self, extra: dict[int, int]) -> "EnergyModel":
         """A copy with `extra` clamps (masked to a bit) merged in; only those
         are checked."""
-        clamps = {v: b & 1 for v, b in extra.items()}
-        _check(self._ids, clamp_ids=_ids(list(clamps)), clamp_bits=list(clamps.values()))
+        bits = [b & 1 for b in extra.values()]
+        clamps = dict(zip(_ids(list(extra)).tolist(), bits))
+        _check_refs(set(self._ids.tolist()), (), clamps)
         merged = dict(self.clamps)
         for v, b in clamps.items():
             if merged.setdefault(v, b) != b:
@@ -1063,8 +1024,8 @@ def parse_statements(text: str, allow_ports: bool = False):
     Raises DumpFormatError at the first line with a defect.
 
     One pass reads the lines in order, checks each against the lines before
-    it, and writes its row straight into the model's columns; having made
-    every check of `_check` line by line, it skips `_build`'s bulk pass.
+    it, and writes its row straight into the model's columns, which it then
+    assembles with no further check.
     An id token is looked up by the spelling its VAR line used and read with
     `int` only when that misses; each distinct energy-token list is read
     once, and each distinct token converted once.

@@ -37,7 +37,7 @@ from .model import (
     ModelError,
     Plan,
     _as_dicts,
-    _build,
+    _assemble,
     _ground_matrix,
     _map_array,
     _slot_blocks,
@@ -180,6 +180,8 @@ class _GateGadgets:
     """
 
     def __init__(self, policy: str, penalty: Fraction, and_profile, coupling=1):
+        if not penalty > 0:
+            raise ModelError("penalty must be positive")
         self.policy = policy
         self.penalty = penalty
         self.and_profile = and_profile
@@ -231,7 +233,7 @@ class _GateGadgets:
                 base_ground += n * g.ground_table[0]
         rows, forcings = _stamp(self.blocks(), which, maps)
         return Network(
-            model=_build(np.arange(len(labels), dtype=np.int64), roles, labels, rows),
+            model=_assemble(np.arange(len(labels), dtype=np.int64), roles, labels, rows, {}),
             elements=ComplexityReport(dict(counts)),
             forcings=forcings,
             penalty_floor=min((g.penalty_floor for g, _ in uses), default=self.penalty),

@@ -295,13 +295,18 @@ FLIPPER_SPEC = "STATE q\nSTART q\nDELTA q 0 -> q 1 U\nDELTA q 1 -> q 0 U\n"
 
 
 @pytest.mark.parametrize("case", ["dtm-out", "anneal-overflow", "anneal-all-clamped",
-                                  "anneal-negative-seed", "anneal-infinite-start"])
+                                  "anneal-negative-seed", "anneal-infinite-start",
+                                  "compile-gateless-zero-penalty"])
 def test_failing_command_leaves_stdout_empty(tmp_path, capsys, case):
     # on exit 1 no partial report reaches stdout, and stderr holds one error line
     if case == "dtm-out":
         spec = tmp_path / "flipper.dtm"
         spec.write_text(FLIPPER_SPEC)
         argv = ["dtm", str(spec), "--p", "2", "--verify", "--out", str(tmp_path / "missing" / "x.dump")]
+    elif case == "compile-gateless-zero-penalty":
+        bare = tmp_path / "bare.net"
+        bare.write_text("INPUT a\nOUTPUT a\n")
+        argv = ["compile", str(bare), "--penalty", "0", "--out", str(tmp_path / "bare.dump")]
     else:
         dump = tmp_path / "case.dump"
         dump.write_text({

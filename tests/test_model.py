@@ -193,12 +193,28 @@ def test_term_validation():
 
 
 def test_model_validation():
-    with pytest.raises(gl.ModelError):
+    with pytest.raises(gl.ModelError, match="^duplicate variable ids$"):
         gl.EnergyModel((gl.Variable(0), gl.Variable(0)))
-    with pytest.raises(gl.ModelError):
+    with pytest.raises(gl.ModelError, match=r"^term references undeclared variables \[1\]$"):
         gl.EnergyModel((gl.Variable(0),), (gl.EnergyTerm((1,), (0, 1)),))
-    with pytest.raises(gl.ModelError):
+    with pytest.raises(gl.ModelError, match="^clamp on undeclared variable 3$"):
         gl.EnergyModel((gl.Variable(0),), clamps={3: 1})
+    with pytest.raises(gl.ModelError, match="^variable id must be non-negative, got -1$"):
+        gl.EnergyModel((gl.Variable(-1),))
+    with pytest.raises(gl.ModelError, match="^clamp value must be 0 or 1, got 2$"):
+        gl.EnergyModel((gl.Variable(0),), clamps={0: 2})
+    with pytest.raises(gl.ModelError, match=r"^variable ids must be integers below 2\*\*63$"):
+        gl.EnergyModel((gl.Variable(0),), clamps={2 ** 63: 1})
+    # of several faults, the first in the constructor's order is reported
+    with pytest.raises(gl.ModelError, match="^duplicate variable ids$"):
+        gl.EnergyModel((gl.Variable(0), gl.Variable(0)), (gl.EnergyTerm((1,), (0, 1)),), {7: 1})
+
+
+def test_boolean_clamp_round_trips_as_a_bit():
+    m = gl.EnergyModel((gl.Variable(0),), clamps={0: True})
+    text = gl.format_model(m)
+    assert text.splitlines()[1] == "CLAMP 0 1"
+    assert gl.parse_model(text) == m
 
 
 def test_dump_round_trip():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import groundlogic as gl
 from util import (
@@ -183,6 +184,34 @@ def test_stamped_lattice_matches_flat_reference_with_function_override():
         flat = flat_lattice(THREE_STATE, 3, 2, policy=policy, function=bad)
         assert _lattice_record(stamped) == _lattice_record(flat)
     assert not gl.verify_ground_histories(gl.build_lattice(THREE_STATE, 3, 2, function=bad))
+
+
+@st.composite
+def random_machines(draw):
+    """(machine, p, head start, tape or None, policy): 1-4 states with
+    random halt states and a random total delta, p = 1-4; at most 3 states
+    and p <= 3 under the symmetrized policy."""
+    policy = draw(st.sampled_from(gl.netbuilder.POLICIES))
+    top = 3 if policy == "edc-symmetrized" else 4
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, top))))
+    halts = frozenset(q for q in states if draw(st.booleans()))
+    target = st.tuples(st.sampled_from(states), st.integers(0, 1), st.sampled_from("UD"))
+    delta = {(q, b): draw(target) for q in states if q not in halts for b in (0, 1)}
+    p = draw(st.integers(1, top))
+    head = draw(st.integers(1, p))
+    tape = draw(st.none() | st.tuples(*[st.integers(0, 1)] * p))
+    return gl.DtmSpec(states, states[0], halts, delta), p, head, tape, policy
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(random_machines())
+def test_random_machine_lattices_verify_and_match_flat_reference(case):
+    dtm, p, head, tape, policy = case
+    lat = gl.build_lattice(dtm, p, head, tape_in=tape, policy=policy)
+    assert gl.verify_ground_histories(lat)
+    assert lat.complexity.within_bound
+    flat = flat_lattice(dtm, p, head, tape_in=tape, policy=policy)
+    assert _lattice_record(lat) == _lattice_record(flat)
 
 
 def test_three_state_machine_lattice():
